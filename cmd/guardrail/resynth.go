@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/csv"
 	"flag"
 	"fmt"
 	"io"
@@ -44,19 +43,16 @@ func cmdResynth(args []string) error {
 		return err
 	}
 	defer func() { _ = f.Close() }() // read side: Close error carries no data
-	cr := csv.NewReader(f)
-	cr.ReuseRecord = true
-	header, err := cr.Read()
+	cr, err := dataset.NewReader(f)
 	if err != nil {
-		return fmt.Errorf("resynth: reading header of %s: %w", *in, err)
+		return fmt.Errorf("resynth: %s: %w", *in, err)
 	}
-	header = append([]string(nil), header...) // ReuseRecord overwrites it
 
 	reg, tr, finish, err := of.start("resynth", *workers)
 	if err != nil {
 		return err
 	}
-	rel := dataset.New(*in, header)
+	rel := dataset.New(*in, cr.Header())
 	inc := synth.NewIncremental(rel, synth.IncrOptions{
 		WindowRows: *window,
 		MaxWindows: *windows,
@@ -66,13 +62,13 @@ func cmdResynth(args []string) error {
 			Workers: *workers, Obs: reg, Trace: tr.Root(),
 		},
 	})
-	for row := 0; ; row++ {
+	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return fmt.Errorf("resynth: reading %s row %d: %w", *in, row, err)
+			return fmt.Errorf("resynth: %s: %w", *in, err)
 		}
 		evs, err := inc.Observe(rec)
 		if err != nil {

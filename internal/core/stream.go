@@ -19,73 +19,49 @@ type StreamStats struct {
 
 // StreamCSV vets a CSV stream row by row against the guard, writing the
 // (possibly repaired) rows to w — the online half of Example 1.2 for data
-// pipelines that never materialize a relation. The header must match
-// schema's attributes; unknown values intern into schema's dictionaries.
-// Under Raise, the first violating row aborts the stream.
+// pipelines that never materialize a relation. The header must name each
+// of schema's attributes once, in any order. Cells are encoded read-only
+// against schema's dictionaries (see dataset.Encoder): unseen values get
+// codes local to this pass and are written back as they arrived, and
+// schema is never modified, so concurrent passes may share it. Under
+// Raise, the first violating row aborts the stream.
 func (g *Guard) StreamCSV(r io.Reader, w io.Writer, schema *dataset.Relation) (*StreamStats, error) {
 	ssp := g.tr.Start("stream.csv").Str("strategy", g.strategy.String()).Str("engine", g.engine.String())
 	defer ssp.End()
 	rsc := g.tr.Under(ssp)
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	cr.ReuseRecord = true // rec is consumed before the next Read
+	cr, err := dataset.NewReader(r)
+	if err != nil {
+		return nil, err
+	}
+	enc := dataset.NewEncoder(schema)
+	colOf, err := enc.MapHeader(cr.Header())
+	if err != nil {
+		return nil, err
+	}
 	cw := csv.NewWriter(w)
 	defer cw.Flush()
-
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("core: reading stream header: %w", err)
-	}
-	if len(header) != schema.NumAttrs() {
-		return nil, fmt.Errorf("core: stream has %d columns, schema has %d", len(header), schema.NumAttrs())
-	}
-	// Map header columns to schema attributes, rejecting duplicates: a
-	// duplicated name passes the width check while another attribute is
-	// never written, so its slot would silently carry a stale value. With
-	// duplicates rejected, width match + pigeonhole guarantees every
-	// schema attribute is covered.
-	colOf := make([]int, len(header))
-	seen := make([]bool, schema.NumAttrs())
-	for i, h := range header {
-		idx := schema.AttrIndex(h)
-		if idx < 0 {
-			return nil, fmt.Errorf("core: stream column %q not in schema", h)
-		}
-		if seen[idx] {
-			return nil, fmt.Errorf("core: duplicate stream column %q", h)
-		}
-		seen[idx] = true
-		colOf[i] = idx
-	}
-	if err := cw.Write(header); err != nil {
+	if err := cw.Write(cr.Header()); err != nil {
 		return nil, err
 	}
 
 	stats := &StreamStats{}
 	row := make([]int32, schema.NumAttrs())
 	before := make([]int32, schema.NumAttrs())
-	out := make([]string, len(header))
+	out := make([]string, len(colOf))
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return stats, fmt.Errorf("core: reading stream row %d: %w", stats.Rows, err)
-		}
-		if len(rec) != len(header) {
-			return stats, fmt.Errorf("core: row %d has %d fields, want %d", stats.Rows, len(rec), len(header))
+			return stats, err
 		}
 		var rsp trace.Span
 		if g.tr.Enabled() && stats.Rows%g.sampleEvery == 0 {
 			rsp = rsc.Start("stream.row").Int("row", int64(stats.Rows))
 		}
 		for i, v := range rec {
-			if v == "" {
-				row[colOf[i]] = dataset.Missing
-			} else {
-				row[colOf[i]] = schema.Intern(colOf[i], v)
-			}
+			row[colOf[i]] = enc.Encode(colOf[i], v)
 		}
 		copy(before, row)
 		vs, err := g.CheckRow(row)
@@ -99,16 +75,12 @@ func (g *Guard) StreamCSV(r io.Reader, w io.Writer, schema *dataset.Relation) (*
 		if err != nil {
 			return stats, fmt.Errorf("core: row %d: %w", stats.Rows, err)
 		}
-		for i := range rec {
-			c := row[colOf[i]]
-			if c != before[colOf[i]] {
+		for i, a := range colOf {
+			if row[a] != before[a] {
 				stats.Changed++
 				g.metrics.streamChanged.Inc()
 			}
-			out[i] = schema.Dict(colOf[i]).Value(c)
-			if c == dataset.Missing {
-				out[i] = ""
-			}
+			out[i] = enc.Decode(a, row[a])
 		}
 		if err := cw.Write(out); err != nil {
 			return stats, err

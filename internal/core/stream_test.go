@@ -2,8 +2,12 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
+
+	"github.com/guardrail-db/guardrail/internal/dsl/compile"
+	"github.com/guardrail-db/guardrail/internal/par"
 )
 
 func TestStreamCSVRectifies(t *testing.T) {
@@ -104,4 +108,63 @@ func TestExplainViolation(t *testing.T) {
 		return
 	}
 	t.Fatal("no flagged rows")
+}
+
+// unseenCityStream holds values the city fixture's dictionaries have
+// never seen in both columns, a repeated unseen value and an empty cell.
+const unseenCityStream = "zip,city\n10001,Boston\n55555,Atlantis\n94105,Atlantis\n10001,\n"
+
+// TestStreamCSVLeavesSchemaUnchanged: unseen values are encoded with
+// pass-local codes and written back as they arrived; the schema's
+// dictionaries never grow.
+func TestStreamCSVLeavesSchemaUnchanged(t *testing.T) {
+	f := newCityFixture(t)
+	card := []int{f.rel.Cardinality(0), f.rel.Cardinality(1)}
+	for _, tc := range []struct {
+		strategy Strategy
+		want     string
+	}{
+		{Ignore, unseenCityStream},
+		{Rectify, "zip,city\n10001,NYC\n55555,Atlantis\n94105,SF\n10001,NYC\n"},
+	} {
+		var out bytes.Buffer
+		if _, err := NewGuard(f.prog, tc.strategy).StreamCSV(strings.NewReader(unseenCityStream), &out, f.rel); err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != tc.want {
+			t.Errorf("%v output:\n%s\nwant:\n%s", tc.strategy, out.String(), tc.want)
+		}
+		for a, want := range card {
+			if got := f.rel.Cardinality(a); got != want {
+				t.Fatalf("%v: attribute %d cardinality %d, want %d", tc.strategy, a, got, want)
+			}
+		}
+	}
+}
+
+// TestStreamCSVConcurrentSharedSchema: passes on both engines share one
+// schema concurrently; run under -race this pins that StreamCSV only
+// reads it.
+func TestStreamCSVConcurrentSharedSchema(t *testing.T) {
+	f := newCityFixture(t)
+	const want = "zip,city\n10001,NYC\n55555,Atlantis\n94105,SF\n10001,NYC\n"
+	outs, err := par.Map(context.Background(), 2, 8, func(_ context.Context, i int) (string, error) {
+		g := NewGuard(f.prog, Rectify)
+		if i%2 == 1 {
+			if _, err := g.Compile(compile.Options{}); err != nil {
+				return "", err
+			}
+		}
+		var out bytes.Buffer
+		_, err := g.StreamCSV(strings.NewReader(unseenCityStream), &out, f.rel)
+		return out.String(), err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, got := range outs {
+		if got != want {
+			t.Errorf("pass %d output:\n%s\nwant:\n%s", i, got, want)
+		}
+	}
 }

@@ -10,9 +10,7 @@
 package dataset
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
 	"math/rand"
 	"strings"
 )
@@ -49,7 +47,9 @@ func (d *Dict) Lookup(s string) (int32, bool) {
 	return c, ok
 }
 
-// Value returns the string for code c. The Missing code renders as "NaN".
+// Value returns the string for code c. The Missing code renders as "NaN"
+// for programs and explanations; CSV output writes it empty instead (see
+// Encoder.Decode).
 func (d *Dict) Value(c int32) string {
 	if c == Missing {
 		return "NaN"
@@ -256,48 +256,6 @@ func (r *Relation) Split(frac float64, seed int64) (train, test *Relation) {
 		k = r.nrows
 	}
 	return r.SelectRows(perm[:k]), r.SelectRows(perm[k:])
-}
-
-// FromCSV reads a relation from CSV with a header row.
-func FromCSV(rd io.Reader, name string) (*Relation, error) {
-	cr := csv.NewReader(rd)
-	cr.FieldsPerRecord = -1
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("dataset: reading CSV header: %w", err)
-	}
-	rel := New(name, header)
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dataset: reading CSV row: %w", err)
-		}
-		if len(rec) != len(header) {
-			return nil, fmt.Errorf("dataset: CSV row has %d fields, header has %d", len(rec), len(header))
-		}
-		if err := rel.AppendRow(rec); err != nil {
-			return nil, err
-		}
-	}
-	return rel, nil
-}
-
-// ToCSV writes the relation as CSV with a header row.
-func (r *Relation) ToCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(r.attrs); err != nil {
-		return err
-	}
-	for i := 0; i < r.nrows; i++ {
-		if err := cw.Write(r.RowStrings(i)); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // String renders a compact summary for debugging.

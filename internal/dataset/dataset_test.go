@@ -156,6 +156,29 @@ func TestFromCSVErrors(t *testing.T) {
 	if _, err := FromCSV(strings.NewReader("a,b\n1\n"), "x"); err == nil {
 		t.Fatal("expected error on ragged row")
 	}
+	if _, err := FromCSV(strings.NewReader("a,a\n1,2\n"), "x"); err == nil {
+		t.Fatal("expected error on duplicate header name")
+	}
+}
+
+// Empty cells load as Missing and are written back empty, not as the
+// "NaN" that Dict.Value renders for display.
+func TestCSVRoundTripEmptyCells(t *testing.T) {
+	const in = "a,b,c\nx,,z\n,y,\nx,y,z\n"
+	r, err := FromCSV(strings.NewReader(in), "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Code(0, 1) != Missing || r.Code(1, 0) != Missing {
+		t.Fatal("empty cells did not load as Missing")
+	}
+	var out bytes.Buffer
+	if err := r.ToCSV(&out); err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != in {
+		t.Fatalf("round trip changed the CSV:\n%s\nwant:\n%s", out.String(), in)
+	}
 }
 
 func TestRowBufferReuse(t *testing.T) {

@@ -40,12 +40,14 @@ import (
 type Options struct {
 	// Domains bounds each attribute's value domain for the solver-backed
 	// passes. The nil default compiles over the open universe (every
-	// attribute unbounded), which is sound even when dictionaries grow
-	// after compilation — StreamCSV interns unseen values, so open is the
-	// only safe choice for long-lived guards. Pass sat.DomainsOf(rel) only
-	// when every row the compiled program will ever see is encoded against
-	// rel's frozen dictionaries; the bounded universe lets the passes
-	// prune more aggressively.
+	// attribute unbounded), which is sound for codes past the
+	// dictionaries: dataset.Encoder gives unseen values batch-local codes
+	// from Cardinality(attr) up, and a relation interned into after
+	// compilation grows codes the same way, so open is the only safe
+	// choice for long-lived guards. Pass sat.DomainsOf(rel) only when
+	// every row the compiled program will ever see holds only codes of
+	// rel's dictionaries as they are at compile time; the bounded
+	// universe lets the passes prune more aggressively.
 	Domains sat.Domains
 	// Obs receives the compile.* counters; nil disables instrumentation.
 	Obs *obs.Registry

@@ -6,73 +6,21 @@ import (
 	"github.com/guardrail-db/guardrail/internal/dataset"
 )
 
-// The codec encodes request rows against an entry's frozen schema without
-// interning. core.Guard.StreamCSV interns unseen values into its schema's
-// dictionaries, which is fine for a single-owner CLI pass but a data race
-// for concurrent requests sharing one Entry. Instead, values absent from
-// the dictionary get per-request codes starting at Cardinality(attr) —
-// one past the last interned code, a fresh code per distinct raw string.
-// Distinct codes matter: collapsing every unseen value onto one sentinel
-// made two different unseen strings equal under engine comparisons,
-// which a multi-row window or any future cross-attribute predicate could
-// observe. Grown codes are sound for guard evaluation: program literals
-// are interned, so their codes are strictly below Cardinality(attr), and
-// the compiled engine's dispatch short-circuits any code beyond its
-// compiled radix to no-match. The raw strings are kept alongside so
-// responses can decode grown codes back to what the client sent.
-
-// decodeCell renders a code back to its string value. raw is the value
-// the client originally sent for the attribute, which is what an
-// out-of-dictionary code decodes to; Missing decodes to "" (the CSV
-// round-trip form, matching StreamCSV output).
-func decodeCell(schema *dataset.Relation, attr int, code int32, raw string) string {
-	if code == dataset.Missing {
-		return ""
-	}
-	if int(code) < schema.Cardinality(attr) {
-		return schema.Dict(attr).Value(code)
-	}
-	return raw
-}
-
-// rowBuf holds one request row in both encoded and raw form, reused
-// across the rows of a streaming request. It also owns the request's
-// out-of-dictionary code assignments: the buffer is per-request, so the
-// grown codes never leak between requests or into the shared Entry.
+// rowBuf holds one request row, reused across the rows of a streaming
+// request. Its encoder is per-request and never interns into the shared
+// Entry's schema (see dataset.Encoder), so codes for unseen values never
+// leak between requests.
 type rowBuf struct {
+	enc   *dataset.Encoder
 	codes []int32
-	raw   []string
-	// unk maps each attribute's unseen raw strings to their per-request
-	// codes, allocated lazily; repeats of the same string across a
-	// streaming request reuse their code.
-	unk []map[string]int32
+	// raw is the row as the client sent it, in schema order, for the
+	// drift monitor.
+	raw []string
 }
 
-func newRowBuf(n int) *rowBuf {
-	return &rowBuf{codes: make([]int32, n), raw: make([]string, n), unk: make([]map[string]int32, n)}
-}
-
-// encode encodes one cell: "" is Missing, interned values keep their
-// code, and each distinct unseen string gets the next code past the
-// frozen dictionary.
-func (b *rowBuf) encode(schema *dataset.Relation, attr int, v string) int32 {
-	if v == "" {
-		return dataset.Missing
-	}
-	if c, ok := schema.Dict(attr).Lookup(v); ok {
-		return c
-	}
-	m := b.unk[attr]
-	if m == nil {
-		m = make(map[string]int32, 1)
-		b.unk[attr] = m
-	}
-	if c, ok := m[v]; ok {
-		return c
-	}
-	c := int32(schema.Cardinality(attr) + len(m))
-	m[v] = c
-	return c
+func newRowBuf(schema *dataset.Relation) *rowBuf {
+	n := schema.NumAttrs()
+	return &rowBuf{enc: dataset.NewEncoder(schema), codes: make([]int32, n), raw: make([]string, n)}
 }
 
 // setFromMap fills the buffer from a JSON object keyed by attribute name.
@@ -87,18 +35,18 @@ func (b *rowBuf) setFromMap(schema *dataset.Relation, m map[string]string) error
 	for i := 0; i < schema.NumAttrs(); i++ {
 		v := m[schema.Attr(i)]
 		b.raw[i] = v
-		b.codes[i] = b.encode(schema, i, v)
+		b.codes[i] = b.enc.Encode(i, v)
 	}
 	return nil
 }
 
 // setFromRecord fills the buffer from a CSV record whose column i maps to
 // schema attribute colOf[i].
-func (b *rowBuf) setFromRecord(schema *dataset.Relation, colOf []int, rec []string) {
+func (b *rowBuf) setFromRecord(colOf []int, rec []string) {
 	for i, v := range rec {
 		a := colOf[i]
 		b.raw[a] = v
-		b.codes[a] = b.encode(schema, a, v)
+		b.codes[a] = b.enc.Encode(a, v)
 	}
 }
 
@@ -107,30 +55,7 @@ func (b *rowBuf) setFromRecord(schema *dataset.Relation, colOf []int, rec []stri
 func (b *rowBuf) decodeMap(schema *dataset.Relation) map[string]string {
 	out := make(map[string]string, len(b.codes))
 	for i, c := range b.codes {
-		out[schema.Attr(i)] = decodeCell(schema, i, c, b.raw[i])
+		out[schema.Attr(i)] = b.enc.Decode(i, c)
 	}
 	return out
-}
-
-// mapHeader maps CSV header columns onto schema attributes, rejecting
-// unknown and duplicate names. Width match plus no-duplicates guarantees
-// every schema attribute is covered (same contract as core.StreamCSV).
-func mapHeader(schema *dataset.Relation, header []string) ([]int, error) {
-	if len(header) != schema.NumAttrs() {
-		return nil, fmt.Errorf("stream has %d columns, schema has %d", len(header), schema.NumAttrs())
-	}
-	colOf := make([]int, len(header))
-	seen := make([]bool, schema.NumAttrs())
-	for i, h := range header {
-		idx := schema.AttrIndex(h)
-		if idx < 0 {
-			return nil, fmt.Errorf("stream column %q not in schema", h)
-		}
-		if seen[idx] {
-			return nil, fmt.Errorf("duplicate stream column %q", h)
-		}
-		seen[idx] = true
-		colOf[i] = idx
-	}
-	return colOf, nil
 }

@@ -147,8 +147,8 @@ func TestDriftMonitorResetsOnReload(t *testing.T) {
 // collision: the codec used to encode every out-of-dictionary value to
 // the single code Cardinality(attr), making two different unseen strings
 // equal under engine comparisons. Distinct unseen strings must get
-// distinct per-request codes, and repeats of the same string must reuse
-// theirs.
+// distinct per-request codes from the request's dataset.Encoder, and
+// repeats of the same string must reuse theirs.
 func TestCodecDistinctUnseenCodes(t *testing.T) {
 	rel, err := dataset.FromCSV(strings.NewReader(postalCSV), "postal")
 	if err != nil {
@@ -157,24 +157,24 @@ func TestCodecDistinctUnseenCodes(t *testing.T) {
 	city := rel.AttrIndex("City")
 	card := int32(rel.Cardinality(city))
 
-	buf := newRowBuf(rel.NumAttrs())
-	a := buf.encode(rel, city, "Atlantis")
-	b := buf.encode(rel, city, "El Dorado")
+	enc := dataset.NewEncoder(rel)
+	a := enc.Encode(city, "Atlantis")
+	b := enc.Encode(city, "El Dorado")
 	if a == b {
 		t.Fatalf("distinct unseen strings share code %d", a)
 	}
 	if a < card || b < card {
 		t.Fatalf("unseen codes %d/%d collide with the dictionary (card %d)", a, b, card)
 	}
-	if again := buf.encode(rel, city, "Atlantis"); again != a {
+	if again := enc.Encode(city, "Atlantis"); again != a {
 		t.Fatalf("repeated unseen string moved: %d then %d", a, again)
 	}
-	if in, ok := rel.Dict(city).Lookup("Berkeley"); !ok || buf.encode(rel, city, "Berkeley") != in {
+	if in, ok := rel.Dict(city).Lookup("Berkeley"); !ok || enc.Encode(city, "Berkeley") != in {
 		t.Fatal("interned value no longer encodes to its dictionary code")
 	}
-	// Codes are per-request: a fresh buffer restarts the assignment, so
+	// Codes are per-request: a fresh encoder restarts the assignment, so
 	// nothing leaks into the shared Entry or across requests.
-	if first := newRowBuf(rel.NumAttrs()).encode(rel, city, "El Dorado"); first != card {
+	if first := dataset.NewEncoder(rel).Encode(city, "El Dorado"); first != card {
 		t.Fatalf("fresh request first unseen code = %d, want %d", first, card)
 	}
 

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strings"
 
+	"github.com/guardrail-db/guardrail/internal/dataset"
 	"github.com/guardrail-db/guardrail/internal/dsl"
 	"github.com/guardrail-db/guardrail/internal/obs/debug"
 )
@@ -21,6 +22,10 @@ const fingerprintHeader = "X-Guardrail-Fingerprint"
 
 // engineHeader reports which execution backend served the request.
 const engineHeader = "X-Guardrail-Engine"
+
+// errorTrailer carries the error that cut a CSV rectify response short;
+// it is absent when every row was written.
+const errorTrailer = "X-Guardrail-Error"
 
 // apiViolation is the wire form of one constraint violation, decoded to
 // schema names and string values.
@@ -157,7 +162,7 @@ func (s *Server) singleJSON(w http.ResponseWriter, r *http.Request, e *Entry, rc
 		writeJSONError(w, http.StatusBadRequest, "decoding row: %v", err)
 		return
 	}
-	buf := newRowBuf(e.Schema.NumAttrs())
+	buf := newRowBuf(e.Schema)
 	if err := buf.setFromMap(e.Schema, row); err != nil {
 		s.metrics.errors.Inc()
 		writeJSONError(w, http.StatusBadRequest, "%v", err)
@@ -170,7 +175,7 @@ func (s *Server) singleJSON(w http.ResponseWriter, r *http.Request, e *Entry, rc
 		Fingerprint: e.FingerprintHex(),
 		Engine:      e.EngineName(),
 		Flagged:     len(vs) > 0,
-		Violations:  s.decodeViolations(e, vs, buf.raw),
+		Violations:  s.decodeViolations(e, vs, buf.enc),
 	}
 	s.countRow(rc, resp.Flagged)
 	if rectify {
@@ -217,7 +222,7 @@ func (s *Server) streamNDJSON(w http.ResponseWriter, r *http.Request, e *Entry, 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	dec := json.NewDecoder(r.Body)
 	enc := json.NewEncoder(w)
-	buf := newRowBuf(e.Schema.NumAttrs())
+	buf := newRowBuf(e.Schema)
 	var vbuf []dsl.Violation
 	var sum batchSummary
 	for i := 0; ; i++ {
@@ -259,17 +264,12 @@ func (s *Server) streamNDJSON(w http.ResponseWriter, r *http.Request, e *Entry, 
 func (s *Server) streamCSV(w http.ResponseWriter, r *http.Request, e *Entry, rc *reqInfo, rectify bool) {
 	ctrl := http.NewResponseController(w)
 	_ = ctrl.EnableFullDuplex() // see streamNDJSON
-	cr := csv.NewReader(r.Body)
-	cr.FieldsPerRecord = -1
-	cr.ReuseRecord = true
-	header, err := cr.Read()
-	if err != nil {
-		s.metrics.errors.Inc()
-		writeJSONError(w, http.StatusBadRequest, "reading CSV header: %v", err)
-		return
+	buf := newRowBuf(e.Schema)
+	cr, err := dataset.NewReader(r.Body)
+	var colOf []int
+	if err == nil {
+		colOf, err = buf.enc.MapHeader(cr.Header())
 	}
-	header = append([]string(nil), header...) // ReuseRecord overwrites it
-	colOf, err := mapHeader(e.Schema, header)
 	if err != nil {
 		s.metrics.errors.Inc()
 		writeJSONError(w, http.StatusBadRequest, "%v", err)
@@ -279,9 +279,12 @@ func (s *Server) streamCSV(w http.ResponseWriter, r *http.Request, e *Entry, rc 
 	var cw *csv.Writer
 	var enc *json.Encoder
 	if rectify {
+		// A malformed row is found after earlier rows went out under a
+		// 200, so the CSV body reports it in a trailer.
+		w.Header().Set("Trailer", errorTrailer)
 		w.Header().Set("Content-Type", "text/csv")
 		cw = csv.NewWriter(w)
-		if err := cw.Write(header); err != nil {
+		if err := cw.Write(cr.Header()); err != nil {
 			return
 		}
 	} else {
@@ -289,8 +292,7 @@ func (s *Server) streamCSV(w http.ResponseWriter, r *http.Request, e *Entry, rc 
 		enc = json.NewEncoder(w)
 	}
 
-	buf := newRowBuf(e.Schema.NumAttrs())
-	out := make([]string, len(header))
+	out := make([]string, len(colOf))
 	var vbuf []dsl.Violation
 	var sum batchSummary
 	for i := 0; ; i++ {
@@ -298,18 +300,20 @@ func (s *Server) streamCSV(w http.ResponseWriter, r *http.Request, e *Entry, rc 
 		if err == io.EOF {
 			break
 		}
-		if err != nil || len(rec) != len(header) {
+		if err != nil {
 			s.metrics.errors.Inc()
-			msg := fmt.Sprintf("row %d has %d fields, want %d", i, len(rec), len(header))
-			if err != nil {
-				msg = fmt.Sprintf("reading CSV row %d: %v", i, err)
-			}
-			if enc != nil {
-				_ = enc.Encode(verdict{Row: i, Violations: []apiViolation{}, Error: msg})
+			if rectify {
+				// Send the header first: a declared trailer set before
+				// the header is written would go out as a header too.
+				cw.Flush()
+				_ = ctrl.Flush()
+				w.Header().Set(errorTrailer, err.Error())
+			} else {
+				_ = enc.Encode(verdict{Row: i, Violations: []apiViolation{}, Error: err.Error()})
 			}
 			break
 		}
-		buf.setFromRecord(e.Schema, colOf, rec)
+		buf.setFromRecord(colOf, rec)
 		v := s.checkOne(e, buf, &vbuf, rc, rectify, i)
 		sum.Rows++
 		if v.Flagged {
@@ -318,9 +322,8 @@ func (s *Server) streamCSV(w http.ResponseWriter, r *http.Request, e *Entry, rc 
 		sum.Violations += len(v.Violations)
 		sum.Changed += v.Changed
 		if rectify {
-			for c := range rec {
-				a := colOf[c]
-				out[c] = decodeCell(e.Schema, a, buf.codes[a], buf.raw[a])
+			for c, a := range colOf {
+				out[c] = buf.enc.Decode(a, buf.codes[a])
 			}
 			if err := cw.Write(out); err != nil {
 				return
@@ -344,7 +347,7 @@ func (s *Server) streamCSV(w http.ResponseWriter, r *http.Request, e *Entry, rc 
 func (s *Server) checkOne(e *Entry, buf *rowBuf, vbuf *[]dsl.Violation, rc *reqInfo, rectify bool, i int) verdict {
 	s.observeDrift(e, buf.raw)
 	*vbuf = e.Detect(buf.codes, *vbuf)
-	v := verdict{Row: i, Flagged: len(*vbuf) > 0, Violations: s.decodeViolations(e, *vbuf, buf.raw)}
+	v := verdict{Row: i, Flagged: len(*vbuf) > 0, Violations: s.decodeViolations(e, *vbuf, buf.enc)}
 	s.countRow(rc, v.Flagged)
 	if rectify {
 		v.Changed = e.RectifyRow(buf.codes)
@@ -354,17 +357,17 @@ func (s *Server) checkOne(e *Entry, buf *rowBuf, vbuf *[]dsl.Violation, rc *reqI
 }
 
 // decodeViolations renders violations with schema attribute names and
-// string values. Expected values are always program literals (interned),
-// actual values fall back to the raw client string for codes outside the
-// dictionary.
-func (s *Server) decodeViolations(e *Entry, vs []dsl.Violation, raw []string) []apiViolation {
+// string values. Expected values are always program literals (interned);
+// actual values decode through the request's encoder, so an unseen value
+// comes back as the client sent it.
+func (s *Server) decodeViolations(e *Entry, vs []dsl.Violation, enc *dataset.Encoder) []apiViolation {
 	out := make([]apiViolation, 0, len(vs))
 	for _, v := range vs {
 		out = append(out, apiViolation{
 			Stmt:     v.Stmt,
 			Attr:     e.Schema.Attr(v.Attr),
 			Expected: e.Schema.Dict(v.Attr).Value(v.Expected),
-			Actual:   decodeCell(e.Schema, v.Attr, v.Actual, raw[v.Attr]),
+			Actual:   enc.Decode(v.Attr, v.Actual),
 		})
 	}
 	s.metrics.violations.Add(int64(len(vs)))

@@ -280,8 +280,8 @@ func TestCSVRectifyMatchesStreamCSV(t *testing.T) {
 		t.Errorf("Content-Type = %q, want text/csv", ct)
 	}
 
-	// The offline pass gets its own relation: StreamCSV interns unseen
-	// values into its schema, which must not touch the served entry.
+	// The offline pass encodes against its own copy of the schema, read
+	// only, exactly as the daemon encodes against the served entry's.
 	rel, err := dataset.FromCSV(strings.NewReader(postalCSV), "postal")
 	if err != nil {
 		t.Fatal(err)
@@ -296,6 +296,54 @@ func TestCSVRectifyMatchesStreamCSV(t *testing.T) {
 	}
 	if !bytes.Equal(got, want.Bytes()) {
 		t.Errorf("serve rectify differs from core.StreamCSV:\nserve:\n%s\ncore:\n%s", got, want.Bytes())
+	}
+}
+
+// TestCSVRectifyMalformedRowTrailer: a malformed row in a CSV rectify
+// body arrives after earlier rows went out under a 200, so the response
+// ends there and names the failure in the X-Guardrail-Error trailer; a
+// clean body carries no trailer value.
+func TestCSVRectifyMalformedRowTrailer(t *testing.T) {
+	s, reg := newPostalServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	post := func(body string) (*http.Response, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/rectify?dataset=postal", "text/csv", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body) // trailers are read with the body
+		if cerr := resp.Body.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, string(got)
+	}
+
+	resp, got := post("PostalCode,City,State\n94704,Oakland,CA\n94110,San Francisco\n10001,New York,NY\n")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200", resp.StatusCode)
+	}
+	if want := "PostalCode,City,State\n94704,Berkeley,CA\n"; got != want {
+		t.Errorf("body = %q, want %q", got, want)
+	}
+	if msg := resp.Trailer.Get(errorTrailer); !strings.Contains(msg, "row 1 has 2 fields") {
+		t.Errorf("%s trailer = %q, want the row-1 width error", errorTrailer, msg)
+	}
+	if msg := resp.Header.Get(errorTrailer); msg != "" {
+		t.Errorf("%s sent as a header too: %q", errorTrailer, msg)
+	}
+	if n := reg.Snapshot().Counters["serve.errors"]; n != 1 {
+		t.Errorf("serve.errors = %d, want 1", n)
+	}
+
+	resp, _ = post(postalCSV)
+	if msg := resp.Trailer.Get(errorTrailer); msg != "" {
+		t.Errorf("clean body: %s trailer = %q, want empty", errorTrailer, msg)
 	}
 }
 
@@ -477,9 +525,9 @@ func TestProgramsCRUD(t *testing.T) {
 	}
 
 	// Put a semantically different program: changed, version advances.
-	upload := func(prog string) (int, map[string]json.RawMessage) {
+	uploadSchema := func(schemaCSV, prog string) (int, map[string]json.RawMessage) {
 		t.Helper()
-		reqBody, err := json.Marshal(map[string]string{"schema_csv": postalCSV, "program": prog})
+		reqBody, err := json.Marshal(map[string]string{"schema_csv": schemaCSV, "program": prog})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -497,6 +545,10 @@ func TestProgramsCRUD(t *testing.T) {
 		}
 		_ = resp.Body.Close()
 		return resp.StatusCode, m
+	}
+	upload := func(prog string) (int, map[string]json.RawMessage) {
+		t.Helper()
+		return uploadSchema(postalCSV, prog)
 	}
 	shadowed := "GIVEN PostalCode ON City HAVING\n  IF PostalCode = \"94704\" THEN City <- \"Berkeley\";\n"
 	status, m := upload(shadowed)
@@ -522,6 +574,14 @@ func TestProgramsCRUD(t *testing.T) {
 	status, m = upload("GIVEN Nonsense ON")
 	if status != http.StatusUnprocessableEntity {
 		t.Errorf("bad program: status = %d, want 422", status)
+	}
+	if e, _ := s.Registry().Get("postal"); e.FingerprintHex() != fp2 {
+		t.Errorf("failed upload disturbed the live entry")
+	}
+
+	// A schema naming a column twice: 422, live entry untouched.
+	if status, _ := uploadSchema("PostalCode,City,City\n94704,Berkeley,CA\n", shadowed); status != http.StatusUnprocessableEntity {
+		t.Errorf("duplicate schema column: status = %d, want 422", status)
 	}
 	if e, _ := s.Registry().Get("postal"); e.FingerprintHex() != fp2 {
 		t.Errorf("failed upload disturbed the live entry")
