@@ -156,11 +156,13 @@ func run(in, inJSON, serveReport, out, date string, summary bool) error {
 	return nil
 }
 
-// LoadServeReport extracts the exact-histogram section of an obs run
-// report (the `hists` array of HistSnapshot objects) into ServeLatency
-// records, sorted by name then label set. Empty histograms are skipped.
+// LoadServeReport extracts the histogram section of an obs run report
+// (the `hists` array of HistSnapshot objects) into ServeLatency records,
+// sorted by name then label set. Every histogram is taken — request
+// latencies and, when the daemon re-synthesized, its stage timers
+// (pc.learn, drift.window_merge, ...). Empty histograms are skipped.
 // Only the fields benchjson needs are decoded; unknown fields — the
-// bucket arrays, counters, stages — are ignored.
+// bucket arrays, counters — are ignored.
 func LoadServeReport(path string) ([]ServeLatency, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

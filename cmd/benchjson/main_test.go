@@ -95,8 +95,9 @@ func TestSummaryNoWorkerVariants(t *testing.T) {
 }
 
 // cannedReport is a trimmed `guardrail serve -report` document: the
-// exact-histogram section plus the counters/stages noise benchjson must
-// ignore. Label order inside one histogram is intentionally unsorted to
+// hists section plus noise benchjson must ignore — counters, and the
+// `stages` section that reports carried before stage timers moved into
+// hists. Label order inside one histogram is intentionally unsorted to
 // exercise map construction, and the empty histogram must be dropped.
 const cannedReport = `{
   "command": "serve",

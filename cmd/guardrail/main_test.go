@@ -343,12 +343,12 @@ func TestSynthReportDeterministicAcrossWorkers(t *testing.T) {
 		t.Errorf("counters differ across worker counts:\nw1: %v\nw8: %v", serial.Counters, parallel.Counters)
 	}
 	stages := make(map[string]bool)
-	for _, s := range serial.Stages {
-		stages[s.Name] = true
+	for _, h := range serial.Hists {
+		stages[h.Name] = true
 	}
 	for _, want := range []string{"synth.learn", "synth.enum", "synth.fill"} {
 		if !stages[want] {
-			t.Errorf("report missing stage %q (have %v)", want, serial.Stages)
+			t.Errorf("report missing stage %q (have %v)", want, serial.Hists)
 		}
 	}
 	for _, key := range []string{"pc.ci_tests", "synth.dags", "aux.samples"} {

@@ -139,7 +139,7 @@ func SpanLeakNeverClosed(sc trace.Scope) {
 
 // SpanLeakOnReturnPath closes the stage timer only on the happy path;
 // the error return abandons it and the stage never records.
-func SpanLeakOnReturnPath(h *obs.Histogram, fail bool) error {
+func SpanLeakOnReturnPath(h *obs.Hist, fail bool) error {
 	sp := h.Start()
 	if fail {
 		return fmt.Errorf("boom")

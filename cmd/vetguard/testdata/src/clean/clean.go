@@ -179,7 +179,7 @@ func DeferredSpan(sc trace.Scope) {
 
 // ClosedOnEveryPath ends the stage timer on both the error and the happy
 // path.
-func ClosedOnEveryPath(h *obs.Histogram, fail bool) error {
+func ClosedOnEveryPath(h *obs.Hist, fail bool) error {
 	sp := h.Start()
 	if fail {
 		sp.Stop()

@@ -149,11 +149,11 @@ func TestCriticalPathAgreesWithStageTable(t *testing.T) {
 	// three synth.* stages are comparable to path steps one-to-one.
 	var dominant string
 	var dominantNS int64
-	for _, st := range reg.Snapshot().Stages {
+	for _, st := range reg.Snapshot().Hists {
 		switch st.Name {
 		case "synth.learn", "synth.enum", "synth.fill":
-			if st.TotalNS > dominantNS {
-				dominant, dominantNS = st.Name, st.TotalNS
+			if st.SumNS > dominantNS {
+				dominant, dominantNS = st.Name, st.SumNS
 			}
 		}
 	}

@@ -12,16 +12,16 @@ import (
 	"github.com/guardrail-db/guardrail/internal/obs"
 )
 
-// metricsHandler renders the currently-published registry in Prometheus
-// text exposition format (version 0.0.4), so a long-running guard process
-// can be scraped directly: counters and gauges map one-to-one, and each
-// stage histogram becomes a summary metric in seconds with
-// quantile-labelled samples plus _sum and _count.
 // testHookScrape, when non-nil, runs at the top of every /metrics scrape.
 // It lets the shutdown regression test hold a scrape in flight while
 // Close runs; production leaves it nil.
 var testHookScrape func()
 
+// metricsHandler renders the currently-published registry in Prometheus
+// text exposition format (version 0.0.4), so a long-running guard process
+// can be scraped directly: counters and gauges map one-to-one, and each
+// histogram (stage timers included) becomes a cumulative histogram metric
+// in seconds with _bucket, _sum and _count samples.
 func metricsHandler(w http.ResponseWriter, _ *http.Request) {
 	if h := testHookScrape; h != nil {
 		h()
@@ -35,8 +35,8 @@ func metricsHandler(w http.ResponseWriter, _ *http.Request) {
 
 // WriteMetrics renders snap as Prometheus text exposition format. Output
 // is deterministic: families are grouped by kind (counters, labeled
-// counters, gauges, exact histograms, summaries) and sorted by name (and
-// label values) within each group, so the rendering is golden-testable.
+// counters, gauges, histograms) and sorted by name (and label values)
+// within each group, so the rendering is golden-testable.
 func WriteMetrics(w io.Writer, snap obs.Snapshot) {
 	names := make([]string, 0, len(snap.Counters))
 	for name := range snap.Counters {
@@ -71,7 +71,7 @@ func WriteMetrics(w io.Writer, snap obs.Snapshot) {
 		fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", m, m, snap.Gauges[name])
 	}
 
-	// Exact histograms render as classic cumulative histograms: one
+	// Histograms render as classic cumulative histograms: one
 	// _bucket{le="..."} line per non-empty bucket (upper bounds converted
 	// from nanoseconds to seconds), a +Inf bucket equal to _count, and
 	// exact _sum/_count. Empty buckets are elided — cumulative counts at
@@ -95,21 +95,6 @@ func WriteMetrics(w io.Writer, snap obs.Snapshot) {
 		fmt.Fprintf(w, "%s_bucket%s %d\n", m, promLabelsInf(hs.Labels), hs.Count)
 		fmt.Fprintf(w, "%s_sum%s %s\n", m, promLabels(hs.Labels, ""), promSeconds(hs.SumNS))
 		fmt.Fprintf(w, "%s_count%s %d\n", m, promLabels(hs.Labels, ""), hs.Count)
-	}
-
-	// Stage histograms record nanoseconds internally; Prometheus convention
-	// is base units, so durations are exported as seconds. Quantiles come
-	// from the snapshot's bounded recent-sample ring (see StageSnapshot),
-	// which matches summary semantics: a windowed estimate, not an exact
-	// all-time quantile.
-	for _, st := range snap.Stages {
-		m := promName(st.Name) + "_seconds"
-		fmt.Fprintf(w, "# TYPE %s summary\n", m)
-		fmt.Fprintf(w, "%s{quantile=\"0.5\"} %s\n", m, promSeconds(st.P50NS))
-		fmt.Fprintf(w, "%s{quantile=\"0.9\"} %s\n", m, promSeconds(st.P90NS))
-		fmt.Fprintf(w, "%s{quantile=\"0.99\"} %s\n", m, promSeconds(st.P99NS))
-		fmt.Fprintf(w, "%s_sum %s\n", m, promSeconds(st.TotalNS))
-		fmt.Fprintf(w, "%s_count %d\n", m, st.Count)
 	}
 }
 

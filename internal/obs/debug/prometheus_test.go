@@ -11,22 +11,22 @@ import (
 
 // TestWriteMetricsGolden pins the Prometheus text rendering exactly: a
 // registry with known contents must produce this byte-for-byte output
-// (exposition format 0.0.4 — TYPE lines, counter/gauge samples, stage
-// summaries in seconds with quantile labels).
+// (exposition format 0.0.4 — TYPE lines, counter/gauge samples, and
+// cumulative histograms in seconds, stage timers included).
 func TestWriteMetricsGolden(t *testing.T) {
 	reg := obs.New()
 	reg.Counter("pc.ci_tests").Add(42)
 	reg.Counter("synth.dags").Add(7)
 	reg.Gauge("synth.workers").Set(4)
+	// A stage timer renders exactly like a request-latency histogram.
 	h := reg.Histogram("synth.learn")
-	// Quantiles are exact here: 100 observations of 1..100 µs fit the ring.
-	for i := int64(1); i <= 100; i++ {
-		h.Observe(i * 1000)
-	}
+	h.Observe(1000) // log-linear bucket [992,1007] ns
+	h.Observe(1000)
+	h.Observe(50000) // log-linear bucket [49152,50175] ns
 	cv := reg.CounterVec("serve.endpoint.requests", "endpoint", "status")
 	cv.With("check", "429").Inc()
 	cv.With("check", "200").Add(5)
-	eh := reg.Exact("serve.request.check")
+	eh := reg.Histogram("serve.request.check")
 	eh.Observe(10)  // single-value bucket: le 10 ns
 	eh.Observe(100) // log-linear bucket [100,101] ns
 	reg.HistogramVec("serve.request.latency", "endpoint").With("check").Observe(32)
@@ -48,17 +48,17 @@ guardrail_serve_request_check_seconds_bucket{le="1.01e-07"} 2
 guardrail_serve_request_check_seconds_bucket{le="+Inf"} 2
 guardrail_serve_request_check_seconds_sum 1.1e-07
 guardrail_serve_request_check_seconds_count 2
+# TYPE guardrail_synth_learn_seconds histogram
+guardrail_synth_learn_seconds_bucket{le="1.007e-06"} 2
+guardrail_synth_learn_seconds_bucket{le="5.0175e-05"} 3
+guardrail_synth_learn_seconds_bucket{le="+Inf"} 3
+guardrail_synth_learn_seconds_sum 5.2e-05
+guardrail_synth_learn_seconds_count 3
 # TYPE guardrail_serve_request_latency_seconds histogram
 guardrail_serve_request_latency_seconds_bucket{endpoint="check",le="3.2e-08"} 1
 guardrail_serve_request_latency_seconds_bucket{endpoint="check",le="+Inf"} 1
 guardrail_serve_request_latency_seconds_sum{endpoint="check"} 3.2e-08
 guardrail_serve_request_latency_seconds_count{endpoint="check"} 1
-# TYPE guardrail_synth_learn_seconds summary
-guardrail_synth_learn_seconds{quantile="0.5"} 5e-05
-guardrail_synth_learn_seconds{quantile="0.9"} 9e-05
-guardrail_synth_learn_seconds{quantile="0.99"} 9.9e-05
-guardrail_synth_learn_seconds_sum 0.00505
-guardrail_synth_learn_seconds_count 100
 `
 	if got := b.String(); got != want {
 		t.Errorf("metrics rendering mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
@@ -94,12 +94,16 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("missing counter sample:\n%s", text)
 	}
 	if !strings.Contains(text, "guardrail_sql_guard_seconds_count 1") {
-		t.Errorf("missing summary count:\n%s", text)
+		t.Errorf("missing histogram count:\n%s", text)
 	}
 	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
 		if strings.HasPrefix(line, "#") {
 			if !strings.HasPrefix(line, "# TYPE ") {
 				t.Errorf("unexpected comment line %q", line)
+			}
+			// Stage timers are histograms too: no summary families.
+			if kind := line[strings.LastIndexByte(line, ' ')+1:]; kind != "counter" && kind != "gauge" && kind != "histogram" {
+				t.Errorf("unexpected metric kind %q in %q", kind, line)
 			}
 			continue
 		}

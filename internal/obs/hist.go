@@ -8,13 +8,14 @@ import (
 	"math/bits"
 	"runtime"
 	"sync/atomic"
+	"time"
 )
 
-// Hist is the exact mergeable latency histogram: a log-linear bucket
-// layout over nanoseconds (HDR-style) holding an exact count for every
-// observation ever made — no sampling, no recency window, unlike the
-// bounded-ring Histogram whose quantiles only describe the most recent
-// observations.
+// Hist is the exact mergeable latency histogram — the registry's only
+// histogram kind, backing both stage timers (via Start/Stop spans) and
+// request latencies: a log-linear bucket layout over nanoseconds
+// (HDR-style) holding an exact count for every observation ever made, with
+// no sampling and no recency window.
 //
 // The bucket layout is a fixed global constant, not a per-histogram
 // parameter: any two Hist values (or their snapshots, possibly shipped
@@ -129,7 +130,7 @@ func defaultHistShards() int {
 }
 
 // NewHist builds a histogram with the given shard count (rounded up to a
-// power of two, minimum 1). Registry.Exact is the usual constructor.
+// power of two, minimum 1). Registry.Histogram is the usual constructor.
 func NewHist(shards int) *Hist {
 	p := 1
 	for p < shards {
@@ -159,6 +160,13 @@ func (h *Hist) Observe(v int64) { h.ObserveShard(0, v) }
 
 // ObserveShard records one value on the shard selected by ticket (reduced
 // modulo the shard count). Lock-free: one atomic add per bucket/moment.
+//
+// Ordering condition: min/max are widened before the bucket add, and the
+// bucket add precedes the count add; Snapshot reads in the reverse order
+// (count, buckets, then min/max). So any snapshot that sees an
+// observation's count or bucket also sees min/max covering it — a
+// snapshot with Count > 0 never shows the shard's MaxInt64/MinInt64
+// sentinels, and every visible bucket lies inside [MinNS, MaxNS].
 func (h *Hist) ObserveShard(ticket int, v int64) {
 	if h == nil {
 		return
@@ -167,9 +175,6 @@ func (h *Hist) ObserveShard(ticket int, v int64) {
 		v = 0
 	}
 	s := h.shard(ticket)
-	s.buckets[histIndex(v)].Add(1)
-	s.count.Add(1)
-	s.sum.Add(v)
 	for {
 		m := s.min.Load()
 		if v >= m || s.min.CompareAndSwap(m, v) {
@@ -182,6 +187,35 @@ func (h *Hist) ObserveShard(ticket int, v int64) {
 			break
 		}
 	}
+	s.buckets[histIndex(v)].Add(1)
+	s.sum.Add(v)
+	s.count.Add(1)
+}
+
+// Span is an in-flight stage timing; Stop records the elapsed time into
+// the originating histogram. The zero Span (from a nil histogram) is a
+// no-op that never reads the clock.
+type Span struct {
+	h  *Hist
+	t0 time.Time
+}
+
+// Start opens a span on h.
+func (h *Hist) Start() Span {
+	if h == nil {
+		return Span{}
+	}
+	return Span{h: h, t0: time.Now()}
+}
+
+// Stop closes the span, observes the elapsed duration, and returns it.
+func (s Span) Stop() time.Duration {
+	if s.h == nil {
+		return 0
+	}
+	d := time.Since(s.t0)
+	s.h.Observe(int64(d))
+	return d
 }
 
 // Label is one key/value dimension of a labeled metric.
@@ -219,7 +253,8 @@ type HistSnapshot struct {
 
 // Snapshot merges every shard into one exact view. Concurrent Observes
 // land either side of the atomic reads — each observation is counted
-// exactly once in some snapshot taken after it.
+// exactly once in some snapshot taken after it. Each shard is read in the
+// reverse of ObserveShard's write order (count, buckets, then min/max).
 func (h *Hist) Snapshot(name string) HistSnapshot {
 	s := HistSnapshot{Name: name}
 	if h == nil {
@@ -234,14 +269,14 @@ func (h *Hist) Snapshot(name string) HistSnapshot {
 		}
 		s.Count += sh.count.Load()
 		s.SumNS += sh.sum.Load()
+		for b := range sh.buckets {
+			dense[b] += sh.buckets[b].Load()
+		}
 		if m := sh.min.Load(); m < min {
 			min = m
 		}
 		if m := sh.max.Load(); m > max {
 			max = m
-		}
-		for b := range sh.buckets {
-			dense[b] += sh.buckets[b].Load()
 		}
 	}
 	if s.Count > 0 {
@@ -382,8 +417,10 @@ func (s HistSnapshot) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary replaces the snapshot's statistics (Name and Labels are
-// preserved). The total count is validated against the bucket sum, so a
-// corrupt payload cannot smuggle in an inconsistent histogram.
+// preserved). The total count is validated against the bucket sum, and
+// the min (max) must fall inside the first (last) non-empty bucket, so a
+// corrupt payload cannot smuggle in an inconsistent histogram — one whose
+// quantile bounds would come out inverted.
 func (s *HistSnapshot) UnmarshalBinary(data []byte) error {
 	if len(data) < len(histCodecMagic) || string(data[:len(histCodecMagic)]) != histCodecMagic {
 		return errors.New("obs: bad histogram magic")
@@ -441,6 +478,12 @@ func (s *HistSnapshot) UnmarshalBinary(data []byte) error {
 	}
 	if total != count {
 		return fmt.Errorf("obs: bucket sum %d != count %d", total, count)
+	}
+	if count > 0 {
+		first, last := histIndex(buckets[0].UpperNS), histIndex(buckets[len(buckets)-1].UpperNS)
+		if histIndex(min) != first || histIndex(max) != last {
+			return fmt.Errorf("obs: min %d / max %d outside the first/last non-empty bucket", min, max)
+		}
 	}
 	s.Count, s.SumNS = count, sum
 	if count > 0 {

@@ -254,11 +254,22 @@ func TestHistCodecRejectsCorruption(t *testing.T) {
 		t.Fatalf("marshal: %v", err)
 	}
 
+	// min = max = 100 ns, but the only bucket is index 5 (exactly 5 ns):
+	// the bucket sum matches the count, yet Quantile would return lo > hi.
+	outside, err := HistSnapshot{
+		Count: 1, SumNS: 100, MinNS: 100, MaxNS: 100,
+		Buckets: []HistBucket{{UpperNS: histUpper(5), Count: 1}},
+	}.MarshalBinary()
+	if err != nil {
+		t.Fatalf("marshal min/max-outside payload: %v", err)
+	}
+
 	cases := map[string][]byte{
-		"empty":          {},
-		"bad magic":      append([]byte("NOPE1"), good[5:]...),
-		"truncated":      good[:len(good)-1],
-		"trailing bytes": append(append([]byte(nil), good...), 0x00),
+		"empty":                   {},
+		"bad magic":               append([]byte("NOPE1"), good[5:]...),
+		"truncated":               good[:len(good)-1],
+		"trailing bytes":          append(append([]byte(nil), good...), 0x00),
+		"min/max outside buckets": outside,
 	}
 	for name, data := range cases {
 		var out HistSnapshot
@@ -315,6 +326,11 @@ func FuzzHistCodec(f *testing.F) {
 		}
 		if total != s.Count {
 			t.Fatalf("accepted inconsistent snapshot: bucket sum %d != count %d", total, s.Count)
+		}
+		for _, q := range []float64{0.5, 0.99, 0.999} {
+			if lo, hi := s.Quantile(q); lo > hi {
+				t.Fatalf("accepted snapshot with inverted q=%g bounds [%d,%d]: %+v", q, lo, hi, s)
+			}
 		}
 		re, err := s.MarshalBinary()
 		if err != nil {
@@ -395,6 +411,46 @@ func TestHistConcurrent(t *testing.T) {
 	}
 	if snap.SumNS != writers*int64(per)*(per-1)/2 {
 		t.Fatalf("sum = %d, want %d", snap.SumNS, writers*int64(per)*(per-1)/2)
+	}
+}
+
+// TestHistFirstObserveSnapshotRace races a snapshot against a fresh
+// shard's first observation. A snapshot that counts the observation must
+// also see the min/max it set: Count > 0 implies MinNS ≤ MaxNS and
+// non-inverted, non-negative quantile bounds — never the shard's
+// MaxInt64/MinInt64 sentinels.
+func TestHistFirstObserveSnapshotRace(t *testing.T) {
+	trials := 20000
+	if testing.Short() {
+		trials = 2000
+	}
+	check := func(s HistSnapshot) {
+		if s.Count == 0 {
+			return
+		}
+		if s.MinNS > s.MaxNS {
+			t.Fatalf("snapshot with count %d has min %d > max %d", s.Count, s.MinNS, s.MaxNS)
+		}
+		if lo, hi := s.Quantile(0.5); lo > hi || lo < 0 {
+			t.Fatalf("snapshot with count %d has p50 bounds [%d,%d]", s.Count, lo, hi)
+		}
+	}
+	for i := 0; i < trials; i++ {
+		h := NewHist(1)
+		h.shard(0) // install the shard so the snapshot reads it mid-observe
+		done := make(chan struct{})
+		go func(v int64) {
+			h.Observe(v)
+			close(done)
+		}(int64(i%4096) + 1)
+		for observed := false; !observed; {
+			select {
+			case <-done:
+				observed = true
+			default:
+			}
+			check(h.Snapshot("race"))
+		}
 	}
 }
 

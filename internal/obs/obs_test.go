@@ -32,7 +32,7 @@ func TestNilSafety(t *testing.T) {
 		t.Errorf("nil span Stop = %v, want 0", d)
 	}
 	snap := r.Snapshot()
-	if len(snap.Counters) != 0 || len(snap.Stages) != 0 {
+	if len(snap.Counters) != 0 || len(snap.Hists) != 0 {
 		t.Errorf("nil registry snapshot not empty: %+v", snap)
 	}
 	if s := r.StageSummary(); s != "" {
@@ -60,47 +60,6 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantiles: min/max/sum over everything, quantiles over the
-// ring, even past the ring boundary.
-func TestHistogramQuantiles(t *testing.T) {
-	r := New()
-	h := r.Histogram("stage")
-	for i := int64(1); i <= 100; i++ {
-		h.Observe(i)
-	}
-	s := h.snapshot("stage")
-	if s.Count != 100 || s.MinNS != 1 || s.MaxNS != 100 || s.TotalNS != 5050 {
-		t.Errorf("snapshot = %+v", s)
-	}
-	if s.Sampled != 100 {
-		t.Errorf("sampled = %d, want 100 (ring not yet full)", s.Sampled)
-	}
-	if s.P50NS < 45 || s.P50NS > 55 {
-		t.Errorf("p50 = %d, want ~50", s.P50NS)
-	}
-	if s.P99NS < 95 || s.P99NS > 100 {
-		t.Errorf("p99 = %d, want ~99", s.P99NS)
-	}
-
-	// Overflow the ring: stats still cover all observations.
-	for i := 0; i < histRing*2; i++ {
-		h.Observe(7)
-	}
-	s = h.snapshot("stage")
-	if s.Count != int64(100+histRing*2) {
-		t.Errorf("count after overflow = %d", s.Count)
-	}
-	if s.Sampled != histRing {
-		t.Errorf("sampled after overflow = %d, want %d (ring capacity)", s.Sampled, histRing)
-	}
-	if s.P50NS != 7 {
-		t.Errorf("p50 after ring overflow = %d, want 7 (ring holds only recent values)", s.P50NS)
-	}
-	if s.MinNS != 1 || s.MaxNS != 100 {
-		t.Errorf("min/max must survive ring eviction: %+v", s)
-	}
-}
-
 // TestSpan records a plausible duration.
 func TestSpan(t *testing.T) {
 	r := New()
@@ -111,8 +70,8 @@ func TestSpan(t *testing.T) {
 		t.Errorf("span duration %v < 1ms", d)
 	}
 	s := r.Snapshot()
-	if len(s.Stages) != 1 || s.Stages[0].Count != 1 || s.Stages[0].TotalNS < int64(time.Millisecond) {
-		t.Errorf("stage snapshot = %+v", s.Stages)
+	if len(s.Hists) != 1 || s.Hists[0].Count != 1 || s.Hists[0].SumNS < int64(time.Millisecond) {
+		t.Errorf("stage snapshot = %+v", s.Hists)
 	}
 }
 
@@ -135,7 +94,7 @@ func TestConcurrentAccess(t *testing.T) {
 	if got := r.Counter("c").Value(); got != 8000 {
 		t.Errorf("counter = %d, want 8000", got)
 	}
-	if got := r.Snapshot().Stages[0].Count; got != 8000 {
+	if got := r.Snapshot().Hists[0].Count; got != 8000 {
 		t.Errorf("histogram count = %d, want 8000", got)
 	}
 }
@@ -168,14 +127,13 @@ func TestWriteReport(t *testing.T) {
 	if rep.Gauges["synth.workers"] != 4 {
 		t.Errorf("gauges = %v", rep.Gauges)
 	}
-	if len(rep.Stages) != 1 || rep.Stages[0].Name != "synth.learn" {
-		t.Errorf("stages = %+v", rep.Stages)
+	if len(rep.Hists) != 1 || rep.Hists[0].Name != "synth.learn" || rep.Hists[0].Count != 1 {
+		t.Errorf("hists = %+v", rep.Hists)
 	}
-	if rep.Stages[0].Sampled != 1 {
-		t.Errorf("stage sampled = %d, want 1", rep.Stages[0].Sampled)
-	}
-	if !strings.Contains(string(data), `"sampled"`) {
-		t.Error("report JSON missing the sampled field")
+	for _, field := range []string{`"stages"`, `"sampled"`} {
+		if strings.Contains(string(data), field) {
+			t.Errorf("report JSON still carries the %s field", field)
+		}
 	}
 }
 
@@ -194,12 +152,12 @@ func TestWriteReportNilRegistry(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Counters == nil || rep.Stages == nil {
+	if rep.Counters == nil {
 		t.Errorf("empty report should have non-nil sections: %+v", rep)
 	}
 }
 
-// TestStageSummary renders one aligned line per stage.
+// TestStageSummary renders one aligned line per histogram.
 func TestStageSummary(t *testing.T) {
 	r := New()
 	r.Histogram("synth.learn").Observe(int64(3 * time.Millisecond))
@@ -212,8 +170,13 @@ func TestStageSummary(t *testing.T) {
 	if len(lines) != 3 { // header + 2 stages
 		t.Errorf("summary has %d lines, want 3:\n%s", len(lines), got)
 	}
-	if !strings.Contains(lines[0], "sampled") || !strings.Contains(lines[0], "last 512 samples") {
-		t.Errorf("header missing sampled column or window note:\n%s", lines[0])
+	for _, col := range []string{"count", "total", "p50", "p99", "max"} {
+		if !strings.Contains(lines[0], col) {
+			t.Errorf("header missing %s column:\n%s", col, lines[0])
+		}
+	}
+	if strings.Contains(lines[0], "sampled") {
+		t.Errorf("header still carries the sampled column:\n%s", lines[0])
 	}
 }
 

@@ -11,46 +11,23 @@ import (
 	"github.com/guardrail-db/guardrail/internal/obs/trace"
 )
 
-// StageSnapshot is the reduced view of one stage histogram. All values are
-// nanoseconds (except Count and Sampled); they are wall-clock derived and
-// therefore never diffed by tests — only the counters section is
-// deterministic.
-//
-// Count/TotalNS/MinNS/MaxNS cover every observation ever made, but the
-// quantiles are computed over only the histogram's bounded ring of recent
-// observations; Sampled reports how many ring entries backed them. When
-// Sampled < Count the quantiles describe a recent window, not the full
-// history — read them as estimates.
-type StageSnapshot struct {
-	Name    string `json:"name"`
-	Count   int64  `json:"count"`
-	Sampled int64  `json:"sampled"`
-	TotalNS int64  `json:"total_ns"`
-	MinNS   int64  `json:"min_ns"`
-	MaxNS   int64  `json:"max_ns"`
-	P50NS   int64  `json:"p50_ns"`
-	P90NS   int64  `json:"p90_ns"`
-	P99NS   int64  `json:"p99_ns"`
-}
-
 // Snapshot is a point-in-time copy of a registry. Counters (labeled or
 // not) are schedule-independent and identical across worker counts on
-// the same seed; gauges, stages, and exact-histogram timings may
+// the same seed; gauges and histogram timings (stage timers included) may
 // legitimately differ between runs. LabeledCounters and Hists are sorted
-// by name then label values, so the sections are deterministic and
-// golden-testable.
+// by name then label values — unlabeled histograms first, then labeled
+// families — so the sections are deterministic and golden-testable.
 type Snapshot struct {
 	Counters        map[string]int64 `json:"counters"`
 	LabeledCounters []LabeledCounter `json:"labeled_counters,omitempty"`
 	Gauges          map[string]int64 `json:"gauges,omitempty"`
-	Stages          []StageSnapshot  `json:"stages"`
 	Hists           []HistSnapshot   `json:"hists,omitempty"`
 }
 
 // Snapshot copies the registry's current state. Safe on a nil registry
 // (returns an empty snapshot) and concurrently with metric updates.
 func (r *Registry) Snapshot() Snapshot {
-	s := Snapshot{Counters: map[string]int64{}, Gauges: map[string]int64{}, Stages: []StageSnapshot{}}
+	s := Snapshot{Counters: map[string]int64{}, Gauges: map[string]int64{}}
 	if r == nil {
 		return s
 	}
@@ -63,13 +40,9 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, g := range r.gauges {
 		gauges[name] = g
 	}
-	hists := make(map[string]*Histogram, len(r.hists))
+	hists := make(map[string]*Hist, len(r.hists))
 	for name, h := range r.hists {
 		hists[name] = h
-	}
-	exacts := make(map[string]*Hist, len(r.exacts))
-	for name, h := range r.exacts {
-		exacts[name] = h
 	}
 	cvecs := make(map[string]*CounterVec, len(r.cvecs))
 	for name, v := range r.cvecs {
@@ -87,16 +60,7 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, g := range gauges {
 		s.Gauges[name] = g.Value()
 	}
-	names := make([]string, 0, len(hists))
-	for name := range hists {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		s.Stages = append(s.Stages, hists[name].snapshot(name))
-	}
-
-	names = names[:0]
+	names := make([]string, 0, len(cvecs))
 	for name := range cvecs {
 		names = append(names, name)
 	}
@@ -111,12 +75,12 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 
 	names = names[:0]
-	for name := range exacts {
+	for name := range hists {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		s.Hists = append(s.Hists, exacts[name].Snapshot(name))
+		s.Hists = append(s.Hists, hists[name].Snapshot(name))
 	}
 
 	names = names[:0]
@@ -137,8 +101,8 @@ func (r *Registry) Snapshot() Snapshot {
 
 // RunReport is the JSON document written by -report: which command ran,
 // plus the full metrics snapshot and — when tracing was on — the trace's
-// critical path. The critical path, like the stages section, is
-// wall-clock derived and never diffed by tests.
+// critical path. The critical path, like the hists section, is wall-clock
+// derived and never diffed by tests.
 type RunReport struct {
 	Command string `json:"command"`
 	Snapshot
@@ -166,23 +130,21 @@ func WriteReportWithTrace(path, command string, reg *Registry, tr *trace.Tracer)
 	return nil
 }
 
-// StageSummary renders the stage histograms as an aligned human-readable
-// table (one line per stage), for printing after synthesis. Empty string
-// when no stages were recorded or the registry is nil.
+// StageSummary renders every histogram as an aligned human-readable
+// table (one line per histogram), for printing after synthesis. Quantiles
+// are the exact bounds' upper ends. Empty string when nothing was
+// recorded or the registry is nil.
 func (r *Registry) StageSummary() string {
 	s := r.Snapshot()
-	if len(s.Stages) == 0 {
+	if len(s.Hists) == 0 {
 		return ""
 	}
+	us := func(ns int64) time.Duration { return time.Duration(ns).Round(time.Microsecond) }
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-16s %8s %8s %12s %12s %12s   (p50 over last %d samples)\n",
-		"stage", "count", "sampled", "total", "p50", "max", histRing)
-	for _, st := range s.Stages {
-		fmt.Fprintf(&b, "%-16s %8d %8d %12s %12s %12s\n",
-			st.Name, st.Count, st.Sampled,
-			time.Duration(st.TotalNS).Round(time.Microsecond),
-			time.Duration(st.P50NS).Round(time.Microsecond),
-			time.Duration(st.MaxNS).Round(time.Microsecond))
+	fmt.Fprintf(&b, "%-16s %8s %12s %12s %12s %12s\n", "stage", "count", "total", "p50", "p99", "max")
+	for _, h := range s.Hists {
+		fmt.Fprintf(&b, "%-16s %8d %12s %12s %12s %12s\n",
+			h.Name, h.Count, us(h.SumNS), us(h.P50NS), us(h.P99NS), us(h.MaxNS))
 	}
 	return b.String()
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterVecDeterministicOrder(t *testing.T) {
@@ -143,41 +142,5 @@ func TestVecConcurrent(t *testing.T) {
 	}
 	if total != 8000 {
 		t.Fatalf("total = %d, want 8000", total)
-	}
-}
-
-// TestSnapshotSortsOutsideLock pins the stage-histogram snapshot
-// discipline: the ring copy happens under the mutex but the quantile sort
-// must run after release. The hook fires between unlock and sort and
-// calls Observe — if the sort (or anything after the copy) ever moves
-// back under the lock, this re-entrant Observe deadlocks and the test
-// times out instead of passing.
-func TestSnapshotSortsOutsideLock(t *testing.T) {
-	r := New()
-	h := r.Histogram("stage")
-	for i := 0; i < 100; i++ {
-		h.Observe(int64(100 - i))
-	}
-	testHookSnapshotUnlocked = func() { h.Observe(1) }
-	defer func() { testHookSnapshotUnlocked = nil }()
-
-	done := make(chan StageSnapshot, 1)
-	go func() { done <- h.snapshot("stage") }()
-	select {
-	case snap := <-done:
-		// The hook's Observe lands after the aggregate fields and ring
-		// were copied, so this snapshot reports the pre-hook state; the
-		// next snapshot picks up the extra observation.
-		if snap.Count != 100 {
-			t.Fatalf("count = %d, want 100", snap.Count)
-		}
-		if next := h.snapshot("stage"); next.Count != 101 {
-			t.Fatalf("next count = %d, want 101 (hook observe must not be lost)", next.Count)
-		}
-		if snap.P50NS != 50 {
-			t.Fatalf("p50 = %d, want 50", snap.P50NS)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("snapshot deadlocked: quantile sort moved back under the histogram mutex")
 	}
 }

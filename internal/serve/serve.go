@@ -81,9 +81,9 @@ func (c Config) drainTimeout() time.Duration {
 // The unlabeled serve.* counters are the stable aggregate families the
 // run-report and CI assert on; the labeled families alongside them split
 // the same traffic by dimension. Request latencies live in exact
-// mergeable histograms (obs.Hist) — lock-free on the hot path, quantiles
-// over every request ever served — while CLI pipeline stages keep the
-// bounded-ring Histogram.
+// mergeable histograms (obs.Hist, the same kind that times the pipeline
+// stages) — lock-free on the hot path, quantiles over every request ever
+// served.
 type serveMetrics struct {
 	requests     *obs.Counter
 	rows         *obs.Counter
@@ -140,10 +140,10 @@ func New(cfg Config) *Server {
 			errors:       reg.Counter("serve.errors"),
 			logDrops:     reg.Counter("serve.accesslog.drops"),
 			inflight:     reg.Gauge("serve.inflight"),
-			histCheck:    reg.Exact("serve.request.check"),
-			histRectify:  reg.Exact("serve.request.rectify"),
-			histPrograms: reg.Exact("serve.request.programs"),
-			histDrift:    reg.Exact("serve.request.drift"),
+			histCheck:    reg.Histogram("serve.request.check"),
+			histRectify:  reg.Histogram("serve.request.rectify"),
+			histPrograms: reg.Histogram("serve.request.programs"),
+			histDrift:    reg.Histogram("serve.request.drift"),
 			epRequests:   reg.CounterVec("serve.endpoint.requests", "endpoint", "status"),
 			epRejected:   reg.CounterVec("serve.endpoint.rejected", "endpoint"),
 			dsRows:       reg.CounterVec("serve.dataset.rows", "dataset", "endpoint", "engine", "verdict"),

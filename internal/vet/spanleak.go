@@ -61,7 +61,7 @@ type spanVar struct {
 }
 
 // runSpanLeak flags span-typed locals received from a call (obs's
-// Histogram.Start, trace's Scope.Start, ...) that some path through the
+// Hist.Start, trace's Scope.Start, ...) that some path through the
 // function abandons without Stop/End: an unclosed obs span never
 // records its stage duration, and an unclosed trace span exports as an
 // unfinished record with no duration. A span is accounted for when it
