@@ -33,7 +33,6 @@ import (
 	"github.com/guardrail-db/guardrail/internal/dsl"
 	"github.com/guardrail-db/guardrail/internal/dsl/analysis"
 	"github.com/guardrail-db/guardrail/internal/dsl/compile"
-	"github.com/guardrail-db/guardrail/internal/dsl/verify"
 	"github.com/guardrail-db/guardrail/internal/errgen"
 )
 
@@ -100,15 +99,19 @@ func run(args []string) error {
 	}
 }
 
-// jsonFinding is the shared machine-readable findings shape of `lint
-// -json` and `analyze -json`.
-type jsonFinding struct {
-	Class    string `json:"class"`
-	Severity string `json:"severity"`
-	Stmt     int    `json:"stmt"`
-	Branch   int    `json:"branch"`
-	Other    int    `json:"other"`
-	Message  string `json:"message"`
+// countFindings tallies the error- and warning-severity findings that
+// decide the exit status of `lint` and `analyze`; info findings count as
+// neither.
+func countFindings(fs []analysis.Finding) (nErrors, nWarnings int) {
+	for _, f := range fs {
+		switch f.Severity {
+		case analysis.Error:
+			nErrors++
+		case analysis.Warning:
+			nWarnings++
+		}
+	}
+	return nErrors, nWarnings
 }
 
 func printJSON(v any) error {
@@ -293,52 +296,30 @@ func cmdLint(args []string) error {
 	if err != nil {
 		return usageErr(err)
 	}
-	var all []jsonFinding
-	nErrors, nWarnings := 0, 0
+	all := []analysis.Finding{} // -json prints [] rather than null
 	for a := range before {
 		if grown := rel.Cardinality(a) - before[a]; grown > 0 {
-			all = append(all, jsonFinding{
-				Class: "domain-violation", Severity: "warning", Stmt: -1, Branch: -1, Other: -1,
+			all = append(all, analysis.Finding{
+				Class: analysis.DomainViolation, Severity: analysis.Warning, Stmt: -1, Branch: -1, Other: -1,
 				Message: fmt.Sprintf("%d literal(s) of %s never occur in %s", grown, rel.Attr(a), *in),
 			})
-			nWarnings++
 		}
 	}
-	for _, f := range verify.Program(program, rel) {
-		all = append(all, jsonFinding{
-			Class: f.Class.String(), Severity: f.Severity.String(),
-			Stmt: f.Stmt, Branch: f.Branch, Other: f.Other, Message: f.Message,
-		})
-		if f.Severity == verify.Error {
-			nErrors++
-		} else {
-			nWarnings++
-		}
-	}
+	all = append(all, analysis.Verify(program, rel)...)
+	nErrors, nWarnings := countFindings(all)
 	if *asJSON {
 		doc := struct {
-			File     string        `json:"file"`
-			Findings []jsonFinding `json:"findings"`
-			Errors   int           `json:"errors"`
-			Warnings int           `json:"warnings"`
+			File     string             `json:"file"`
+			Findings []analysis.Finding `json:"findings"`
+			Errors   int                `json:"errors"`
+			Warnings int                `json:"warnings"`
 		}{*prog, all, nErrors, nWarnings}
-		if doc.Findings == nil {
-			doc.Findings = []jsonFinding{}
-		}
 		if err := printJSON(doc); err != nil {
 			return usageErr(err)
 		}
 	} else {
 		for _, f := range all {
-			if f.Stmt < 0 {
-				fmt.Printf("%s: %s [%s]: %s\n", *prog, f.Severity, f.Class, f.Message)
-				continue
-			}
-			loc := fmt.Sprintf("stmt %d", f.Stmt)
-			if f.Branch >= 0 {
-				loc += fmt.Sprintf(" branch %d", f.Branch)
-			}
-			fmt.Printf("%s: %s %s [%s]: %s\n", *prog, f.Severity, loc, f.Class, f.Message)
+			fmt.Printf("%s: %s\n", *prog, f)
 		}
 	}
 	if nErrors > 0 || (*strict && nWarnings > 0) {
@@ -462,42 +443,29 @@ func cmdAnalyze(args []string) error {
 	}
 	rpt := analysis.Program(program, rel)
 	st := dsl.Analyze(program)
-	nErrors, nWarnings := 0, 0
-	for _, f := range rpt.Findings {
-		switch f.Severity {
-		case analysis.Error:
-			nErrors++
-		case analysis.Warning:
-			nWarnings++
-		}
-	}
+	findings := append([]analysis.Finding{}, rpt.Findings...) // -json prints [] rather than null
+	nErrors, nWarnings := countFindings(findings)
 	if *asJSON {
 		doc := struct {
-			File            string        `json:"file"`
-			Findings        []jsonFinding `json:"findings"`
-			Errors          int           `json:"errors"`
-			Warnings        int           `json:"warnings"`
-			Statements      int           `json:"statements"`
-			Branches        int           `json:"branches"`
-			Coverage        float64       `json:"coverage"`
-			Fingerprint     string        `json:"fingerprint"`
-			SolverCalls     int64         `json:"solver_calls"`
-			BranchesRemoved int           `json:"branches_removable"`
-			StmtsRemoved    int           `json:"stmts_removable"`
-			MinimizeProved  bool          `json:"minimize_proved"`
+			File            string             `json:"file"`
+			Findings        []analysis.Finding `json:"findings"`
+			Errors          int                `json:"errors"`
+			Warnings        int                `json:"warnings"`
+			Statements      int                `json:"statements"`
+			Branches        int                `json:"branches"`
+			Coverage        float64            `json:"coverage"`
+			Fingerprint     string             `json:"fingerprint"`
+			SolverCalls     int64              `json:"solver_calls"`
+			BranchesRemoved int                `json:"branches_removable"`
+			StmtsRemoved    int                `json:"stmts_removable"`
+			MinimizeProved  bool               `json:"minimize_proved"`
 		}{
-			File: *prog, Findings: []jsonFinding{}, Errors: nErrors, Warnings: nWarnings,
+			File: *prog, Findings: findings, Errors: nErrors, Warnings: nWarnings,
 			Statements: len(program.Stmts), Branches: st.Branches,
 			Coverage:    dsl.Coverage(program, rel),
 			Fingerprint: fmt.Sprintf("%016x", rpt.Fingerprint), SolverCalls: rpt.SolverCalls,
 			BranchesRemoved: rpt.BranchesRemoved, StmtsRemoved: rpt.StmtsRemoved,
 			MinimizeProved: rpt.MinimizeProved,
-		}
-		for _, f := range rpt.Findings {
-			doc.Findings = append(doc.Findings, jsonFinding{
-				Class: f.Class.String(), Severity: f.Severity.String(),
-				Stmt: f.Stmt, Branch: f.Branch, Other: f.Other, Message: f.Message,
-			})
 		}
 		if err := printJSON(doc); err != nil {
 			return usageErr(err)
@@ -505,7 +473,7 @@ func cmdAnalyze(args []string) error {
 	} else {
 		fmt.Printf("%s: %d statements, %d branches, coverage %.3f, fingerprint %016x\n",
 			*prog, len(program.Stmts), st.Branches, dsl.Coverage(program, rel), rpt.Fingerprint)
-		for _, f := range rpt.Findings {
+		for _, f := range findings {
 			fmt.Printf("%s: %s\n", *prog, f)
 		}
 		if rpt.BranchesRemoved > 0 || rpt.StmtsRemoved > 0 {

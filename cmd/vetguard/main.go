@@ -1,5 +1,5 @@
 // Command vetguard is the project-specific Go source linter — the second
-// layer of Guardrail's static-analysis subsystem. Where internal/dsl/verify
+// layer of Guardrail's static-analysis subsystem. Where internal/dsl/analysis
 // checks synthesized programs, vetguard checks the Go code that synthesizes
 // them, enforcing the determinism and hygiene invariants a reproducible
 // experiment pipeline depends on.

@@ -31,7 +31,7 @@ func TestBuggyFixture(t *testing.T) {
 	}
 	got := countByCheck(findings)
 	want := map[string]int{
-		"maporder":    8,
+		"maporder":    9,
 		"globalrand":  2,
 		"ignorederr":  3,
 		"nakedgo":     3,

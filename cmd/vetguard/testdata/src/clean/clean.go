@@ -278,3 +278,25 @@ func SortedChainAccum(m map[string]float64) float64 {
 	}
 	return total
 }
+
+type byName []string
+
+func (b byName) Len() int           { return len(b) }
+func (b byName) Less(i, j int) bool { return b[i] < b[j] }
+func (b byName) Swap(i, j int)      { b[i], b[j] = b[j], b[i] }
+
+// ConvertedSortAccum sorts the collected keys through a sort.Interface
+// conversion before the second loop, so the accumulation order is
+// deterministic.
+func ConvertedSortAccum(m map[string]float64) float64 {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Sort(byName(keys))
+	var total float64
+	for _, k := range keys {
+		total += m[k]
+	}
+	return total
+}

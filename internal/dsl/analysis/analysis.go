@@ -1,9 +1,16 @@
-// Package analysis is the semantic analyzer for DSL programs — the layer
-// of Guardrail's static-analysis subsystem built on the exact
-// finite-domain solver in internal/smt/sat. Where internal/dsl/verify
-// reasons about single conjunctions (a branch shadowed by one earlier
-// branch), analysis reasons about disjunctions and domains: a branch can
-// be dead because the *union* of earlier guards covers it, a statement's
+// Package analysis is Guardrail's program-diagnostics package: every
+// static check over DSL programs, built on the finite-domain solver in
+// internal/smt/sat, reports through the one Finding type defined here.
+//
+// Two entry points share that vocabulary. Verify is the gate the
+// synthesizer applies to every filled sketch before coverage scoring and
+// the check behind `guardrail lint`: it reasons about single conjunctions
+// without domain bounds, flagging contradictory or shadowed branches,
+// self-dependencies, cyclic determinant chains, out-of-dictionary
+// literals and dead statements — degenerate fills that would silently
+// weaken the runtime guardrail. Program runs the domain- and
+// disjunction-aware passes behind `guardrail analyze`: a branch can be
+// dead because the *union* of earlier guards covers it, a statement's
 // guards can be exhaustive over the observed value domain, one statement
 // can semantically contain another, and two statements can force
 // different values onto the same satisfiable region. The same machinery
@@ -11,6 +18,8 @@
 // equivalent programs) that the synthesizer uses to dedupe candidate
 // programs before coverage scoring, and a semantics-preserving minimizer
 // whose output is re-proved equivalent by independent solver queries.
+// Messages are rendered through internal/dsl/text.go so findings read in
+// the paper's surface syntax.
 package analysis
 
 import (
@@ -30,11 +39,13 @@ const (
 	// Info marks structural facts worth surfacing that are not defects
 	// (exhaustive branch guards).
 	Info Severity = iota
-	// Warning marks redundancy that does not change runtime behavior
-	// (shadowed branches, subsumed statements).
+	// Warning marks redundancy or suspicious structure that does not
+	// change runtime behavior (shadowed or duplicate branches, subsumed
+	// statements, cyclic determinant chains).
 	Warning
-	// Error marks semantic defects (unsatisfiable guards, contradictory
-	// statements).
+	// Error marks semantic defects that make the program untrustworthy as
+	// a guardrail (unsatisfiable guards, contradictions, domain
+	// violations, dead statements).
 	Error
 )
 
@@ -51,7 +62,9 @@ func (s Severity) String() string {
 // MarshalJSON renders the severity as its string name.
 func (s Severity) MarshalJSON() ([]byte, error) { return json.Marshal(s.String()) }
 
-// Class identifies the diagnostic.
+// Class identifies the diagnostic. The first four classes come from
+// Program's passes, the rest from Verify; findings sort by class within a
+// location, so the order below is part of the output contract.
 type Class int
 
 const (
@@ -71,6 +84,28 @@ const (
 	// attribute that assign different values on a satisfiable region
 	// overlap, guaranteeing a violation on every such row.
 	StatementContradiction
+	// Contradiction: a branch whose condition is subsumed by an earlier
+	// branch of the same statement but assigns a different value — the
+	// later branch can never take effect and disagrees with the one that
+	// shadows it.
+	Contradiction
+	// Unreachable: a branch that can never fire — its condition is
+	// unsatisfiable, or an earlier branch with the same assignment already
+	// matches every row it would match (subsumption).
+	Unreachable
+	// SelfDependency: a statement whose dependent attribute appears in its
+	// own GIVEN set or is tested by one of its branch conditions.
+	SelfDependency
+	// Cycle: statements whose determinant chains form a directed cycle
+	// (a determines b, b determines a), making rectification order-sensitive.
+	Cycle
+	// DomainViolation: an attribute index or literal code outside the
+	// dataset dictionary, a condition atom on an attribute outside GIVEN,
+	// or a branch asserting missingness.
+	DomainViolation
+	// DeadStatement: a statement with no branches, or whose every branch is
+	// unreachable.
+	DeadStatement
 )
 
 func (c Class) String() string {
@@ -83,6 +118,18 @@ func (c Class) String() string {
 		return "subsumed-statement"
 	case StatementContradiction:
 		return "statement-contradiction"
+	case Contradiction:
+		return "contradiction"
+	case Unreachable:
+		return "unreachable"
+	case SelfDependency:
+		return "self-dependency"
+	case Cycle:
+		return "cycle"
+	case DomainViolation:
+		return "domain-violation"
+	case DeadStatement:
+		return "dead-statement"
 	}
 	return fmt.Sprintf("Class(%d)", int(c))
 }
@@ -94,20 +141,26 @@ func (c Class) MarshalJSON() ([]byte, error) { return json.Marshal(c.String()) }
 type Finding struct {
 	Class    Class    `json:"class"`
 	Severity Severity `json:"severity"`
-	// Stmt is the statement index within the program.
+	// Stmt is the statement index within the program, or -1 for findings
+	// about the program as a whole.
 	Stmt int `json:"stmt"`
 	// Branch is the branch index within the statement, or -1 for
 	// statement-level findings.
 	Branch int `json:"branch"`
-	// Other is the index of the related branch (DeadBranch) or statement
-	// (SubsumedStatement, StatementContradiction), or -1.
+	// Other is the index of the related branch (DeadBranch, Contradiction,
+	// Unreachable) or statement (SubsumedStatement, StatementContradiction,
+	// Cycle), or -1.
 	Other int `json:"other"`
 	// Message is the human-readable diagnosis in the surface syntax.
 	Message string `json:"message"`
 }
 
-// String renders the finding as "severity stmt 2 branch 1 [class]: message".
+// String renders the finding as "severity stmt 2 branch 1 [class]: message",
+// or "severity [class]: message" when it has no statement.
 func (f Finding) String() string {
+	if f.Stmt < 0 {
+		return fmt.Sprintf("%s [%s]: %s", f.Severity, f.Class, f.Message)
+	}
 	loc := fmt.Sprintf("stmt %d", f.Stmt)
 	if f.Branch >= 0 {
 		loc += fmt.Sprintf(" branch %d", f.Branch)
@@ -123,6 +176,21 @@ func HasErrors(fs []Finding) bool {
 		}
 	}
 	return false
+}
+
+// sortFindings orders findings by statement, then branch, then class,
+// keeping emission order among equals.
+func sortFindings(fs []Finding) {
+	sort.SliceStable(fs, func(i, j int) bool {
+		a, b := fs[i], fs[j]
+		if a.Stmt != b.Stmt {
+			return a.Stmt < b.Stmt
+		}
+		if a.Branch != b.Branch {
+			return a.Branch < b.Branch
+		}
+		return a.Class < b.Class
+	})
 }
 
 // Report is the result of running every analysis pass over one program.
@@ -238,16 +306,7 @@ func Program(p *dsl.Program, rel *dataset.Relation) *Report {
 		}
 	}
 
-	sort.SliceStable(rpt.Findings, func(i, j int) bool {
-		a, b := rpt.Findings[i], rpt.Findings[j]
-		if a.Stmt != b.Stmt {
-			return a.Stmt < b.Stmt
-		}
-		if a.Branch != b.Branch {
-			return a.Branch < b.Branch
-		}
-		return a.Class < b.Class
-	})
+	sortFindings(rpt.Findings)
 
 	canon, canonCalls := Canon(p, dom)
 	rpt.Canon = canon

@@ -66,16 +66,6 @@ type Env struct {
 	// bench); by default WHERE conjuncts that do not reference predictions
 	// are evaluated before any model call.
 	DisablePushdown bool
-	// DisableGuardJIT turns off the executor's scan-triggered guard
-	// compilation: by default a still-interpreted guard facing a scan of at
-	// least GuardJITRows rows is compiled (open universe, translation
-	// validated) before the per-row loop, amortizing the compile over the
-	// scan. Compilation failure is not an error — the guard keeps
-	// interpreting and sql.guard_jit_failed counts the fallback.
-	DisableGuardJIT bool
-	// GuardJITRows overrides the scan-size threshold for guard
-	// compilation; 0 selects the default of 1024 rows.
-	GuardJITRows int
 	// Obs receives sql.* counters and the sql.guard / sql.inference stage
 	// timings; nil disables instrumentation at zero cost.
 	Obs *obs.Registry
@@ -84,6 +74,13 @@ type Env struct {
 	// cost.
 	Trace trace.Scope
 }
+
+// guardJITRows is the scan size at which the executor compiles a
+// still-interpreted guard (open universe, translation validated) before
+// the per-row loop, amortizing the compile over the scan. Compilation
+// failure is not an error — the guard keeps interpreting and
+// sql.guard_jit_failed counts the fallback.
+const guardJITRows = 1024
 
 // Stats reports executor instrumentation (Table 6's breakdown).
 type Stats struct {
@@ -304,11 +301,7 @@ func (ex *executor) run(q *Query) (*Result, error) {
 		// universe (nil domains) keeps the compiled form sound for values
 		// the guard has never seen; on validation failure the interpreter
 		// keeps serving the scan.
-		jitRows := ex.env.GuardJITRows
-		if jitRows <= 0 {
-			jitRows = 1024
-		}
-		if !ex.env.DisableGuardJIT && n >= jitRows && ex.env.Guard.Engine() == core.EngineAST && !ex.env.Guard.UseCompiled() {
+		if n >= guardJITRows && ex.env.Guard.Engine() == core.EngineAST && !ex.env.Guard.UseCompiled() {
 			if _, err := ex.env.Guard.Compile(compile.Options{Obs: reg, Trace: tsc}); err != nil {
 				reg.Counter("sql.guard_jit_failed").Inc()
 			} else {

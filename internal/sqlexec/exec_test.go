@@ -8,7 +8,9 @@ import (
 	"github.com/guardrail-db/guardrail/internal/bn"
 	"github.com/guardrail-db/guardrail/internal/core"
 	"github.com/guardrail-db/guardrail/internal/dataset"
+	"github.com/guardrail-db/guardrail/internal/dsl"
 	"github.com/guardrail-db/guardrail/internal/ml"
+	"github.com/guardrail-db/guardrail/internal/obs"
 )
 
 func near(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
@@ -329,5 +331,47 @@ func TestMissingValuesAreNull(t *testing.T) {
 	}
 	if !near(res.Rows[0][0].Num, 5) || !near(res.Rows[0][1].Num, 1) {
 		t.Fatalf("NULL handling wrong: %v", res.Rows[0])
+	}
+}
+
+// TestGuardJIT: a scan of at least guardJITRows rows compiles a
+// still-interpreted guard and counts sql.guard_jit; a smaller scan keeps
+// the guard on the AST interpreter.
+func TestGuardJIT(t *testing.T) {
+	for _, tc := range []struct {
+		rows int
+		jit  bool
+	}{{guardJITRows, true}, {guardJITRows - 1, false}} {
+		rel := dataset.New("t", []string{"a", "b"})
+		for i := 0; i < tc.rows; i++ {
+			v := []string{"0", "1"}[i%2]
+			rel.AppendRow([]string{v, v})
+		}
+		prog, err := dsl.Parse("GIVEN a ON b HAVING\n  IF a = \"0\" THEN b <- \"0\";\n  IF a = \"1\" THEN b <- \"1\";\n", rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		guard := core.NewGuard(prog, core.Ignore)
+		reg := obs.New()
+		res, err := Exec("SELECT COUNT(*) AS n FROM t", rel, &Env{Guard: guard, Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Rows[0][0].Num; got != float64(tc.rows) {
+			t.Errorf("%d rows: COUNT(*) = %g", tc.rows, got)
+		}
+		wantJIT, wantEngine := int64(0), core.EngineAST
+		if tc.jit {
+			wantJIT, wantEngine = 1, core.EngineCompiled
+		}
+		if got := reg.Counter("sql.guard_jit").Value(); got != wantJIT {
+			t.Errorf("%d rows: sql.guard_jit = %d, want %d", tc.rows, got, wantJIT)
+		}
+		if got := reg.Counter("sql.guard_jit_failed").Value(); got != 0 {
+			t.Errorf("%d rows: sql.guard_jit_failed = %d, want 0", tc.rows, got)
+		}
+		if guard.Engine() != wantEngine {
+			t.Errorf("%d rows: guard engine %v, want %v", tc.rows, guard.Engine(), wantEngine)
+		}
 	}
 }

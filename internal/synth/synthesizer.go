@@ -9,7 +9,6 @@ import (
 	"github.com/guardrail-db/guardrail/internal/dataset"
 	"github.com/guardrail-db/guardrail/internal/dsl"
 	"github.com/guardrail-db/guardrail/internal/dsl/analysis"
-	"github.com/guardrail-db/guardrail/internal/dsl/verify"
 	"github.com/guardrail-db/guardrail/internal/graph"
 	"github.com/guardrail-db/guardrail/internal/obs"
 	"github.com/guardrail-db/guardrail/internal/obs/trace"
@@ -262,9 +261,9 @@ type candidate struct {
 // across opts.Workers workers: each candidate is screened for local
 // non-triviality, filled through the shared statement cache (identical
 // GIVEN…ON… holes are concretized once across DAGs, §7), gated by the
-// semantic verifier, and canonicalized (internal/dsl/analysis). At the
-// barrier candidates whose canonical semantic form already appeared are
-// dropped — distinct DAGs frequently fill to equivalent programs once
+// semantic verifier (analysis.Verify), and canonicalized (analysis.Canon).
+// At the barrier candidates whose canonical semantic form already appeared
+// are dropped — distinct DAGs frequently fill to equivalent programs once
 // unsupported statements fall away — and only the surviving
 // representatives fan out again for coverage scoring. Dropping a
 // duplicate cannot change the selection: equal canonical forms imply
@@ -289,11 +288,12 @@ func SelectProgram(rel *dataset.Relation, dags []*graph.DAG, data stats.Data, op
 				sk = pruneNonLNT(dctx, sk, data, opts.Alpha, lnt)
 			}
 			prog := FillProgramCtx(dctx, rel, sk, fill, cache)
-			// Static verification gate: a candidate whose fill is degenerate
+			// Static verification gate (analysis.Verify, the checks behind
+			// `guardrail lint`): a candidate whose fill is degenerate
 			// (contradictory branches, dead statements, out-of-domain
 			// literals) would silently weaken the runtime guardrail, so it
 			// is pruned before it can win coverage scoring.
-			if fs := verify.Program(prog, rel); verify.HasErrors(fs) {
+			if analysis.HasErrors(analysis.Verify(prog, rel)) {
 				dsp.Bool("pruned", true).End()
 				return candidate{pruned: true}, nil
 			}

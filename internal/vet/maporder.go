@@ -20,10 +20,12 @@ package vet
 // key/value variables; assignment propagates taint from the right-hand
 // side; ranging over a tainted slice taints the new iteration
 // variables (its element order is the map's order); a sort.*/
-// slices.Sort* call launders its argument. Sinks fire outside the map
-// loop itself — where layer 1 is blind: a tainted value escaping into
-// an output call, an append of tainted values to a slice that is never
-// sorted, and float accumulation of tainted values in a later loop.
+// slices.Sort* call launders the sequence it sorts (sortTarget, the
+// same decision layer 1's collect-then-sort exemption uses). Sinks fire
+// outside the map loop itself — where layer 1 is blind: a tainted value
+// escaping into an output call, an append of tainted values to a slice
+// that is never sorted, and float accumulation of tainted values in a
+// later loop.
 // Inside the map loop, layer 2 adds only the plain self-referential
 // form `g = g + v`, which the compound-only syntactic check misses.
 
@@ -187,40 +189,18 @@ func (p *Pass) isOutputCall(call *ast.CallExpr) bool {
 	return strings.HasPrefix(name, "Write") || name == "Print" || name == "Printf"
 }
 
-// sortedAfterPos reports whether a sort or slices package sort call
-// mentioning target appears after pos within the enclosing function —
-// the canonical collect-then-sort idiom.
+// sortedAfterPos reports whether a sort call whose target renders as
+// target appears after pos within the enclosing function — the canonical
+// collect-then-sort idiom.
 func (p *Pass) sortedAfterPos(target string, pos token.Pos, fnBody *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(fnBody, func(n ast.Node) bool {
 		if found {
 			return false
 		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok || call.Pos() < pos {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		pkg, ok := p.Info.Uses[selIdent(sel)].(*types.PkgName)
-		if !ok {
-			return true
-		}
-		switch pkg.Imported().Path() {
-		case "sort":
-		case "slices":
-			if !strings.HasPrefix(sel.Sel.Name, "Sort") {
-				return true
-			}
-		default:
-			return true
-		}
-		for _, arg := range call.Args {
-			if strings.Contains(types.ExprString(arg), target) {
+		if call, ok := n.(*ast.CallExpr); ok && call.Pos() >= pos {
+			if tgt := p.sortTarget(call); tgt != nil && types.ExprString(tgt) == target {
 				found = true
-				break
 			}
 		}
 		return true
@@ -228,27 +208,42 @@ func (p *Pass) sortedAfterPos(target string, pos token.Pos, fnBody *ast.BlockStm
 	return found
 }
 
-// isSortCall reports whether call is a sort.*/slices.Sort* laundering
-// call, returning the argument expressions whose roots it launders.
-func (p *Pass) isSortCall(call *ast.CallExpr) ([]ast.Expr, bool) {
+// sortTarget returns the sequence a sort.*/slices.Sort* call sorts — its
+// first argument with parentheses and type conversions stripped, so
+// sort.Sort(byName(keys)) sorts keys — or nil when call is not a sort
+// call. Both maporder layers launder exactly this expression.
+func (p *Pass) sortTarget(call *ast.CallExpr) ast.Expr {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return nil, false
+	if !ok || len(call.Args) == 0 {
+		return nil
 	}
 	pkg, ok := p.Info.Uses[selIdent(sel)].(*types.PkgName)
 	if !ok {
-		return nil, false
+		return nil
 	}
 	switch pkg.Imported().Path() {
 	case "sort":
 	case "slices":
 		if !strings.HasPrefix(sel.Sel.Name, "Sort") {
-			return nil, false
+			return nil
 		}
 	default:
-		return nil, false
+		return nil
 	}
-	return call.Args, true
+	tgt := call.Args[0]
+	for {
+		switch x := tgt.(type) {
+		case *ast.ParenExpr:
+			tgt = x.X
+			continue
+		case *ast.CallExpr:
+			if len(x.Args) == 1 && p.Info.Types[x.Fun].IsType() {
+				tgt = x.Args[0]
+				continue
+			}
+		}
+		return tgt
+	}
 }
 
 // --- layer 2: taint dataflow ---
@@ -442,12 +437,10 @@ func (mo *mapOrderState) transfer(n *Node, in BitSet) BitSet {
 		}
 	case *ast.ExprStmt:
 		if call, ok := s.X.(*ast.CallExpr); ok {
-			if args, isSort := mo.p.isSortCall(call); isSort {
-				for _, a := range args {
-					if root := rootIdent(a); root != nil {
-						if i, tracked := mo.idx[mo.p.Info.ObjectOf(root)]; tracked {
-							out.Clear(i)
-						}
+			if tgt := mo.p.sortTarget(call); tgt != nil {
+				if root := rootIdent(tgt); root != nil {
+					if i, tracked := mo.idx[mo.p.Info.ObjectOf(root)]; tracked {
+						out.Clear(i)
 					}
 				}
 			}
