@@ -491,6 +491,52 @@ func BenchmarkPushdown(b *testing.B) {
 	})
 }
 
+// BenchmarkGuardedQuery runs the guarded PREDICT query end to end: a
+// compiled rectify guard vets a dirty 200k-row PostalChain table before a
+// logistic model, trained on the table's first 6k rows, predicts Country
+// for the grouped aggregate.
+func BenchmarkGuardedQuery(b *testing.B) {
+	table, err := bn.PostalChain(256).Sample(200_000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := errgen.Inject(table, errgen.Options{Rate: 0.01, RandomStringProb: 0.3, Seed: 1}); err != nil {
+		b.Fatal(err)
+	}
+	table.SetName("t")
+	first := make([]int, 6000)
+	for i := range first {
+		first[i] = i
+	}
+	train := table.SelectRows(first)
+	res, err := core.Synthesize(train, core.Options{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := dsl.Parse(dsl.Format(res.Program, train), table)
+	if err != nil {
+		b.Fatal(err)
+	}
+	guard := core.NewGuard(prog, core.Rectify)
+	if _, err := guard.Compile(compile.Options{}); err != nil {
+		b.Fatal(err)
+	}
+	label := table.AttrIndex("Country")
+	model, err := ml.TrainLogistic(table.SelectRows(first), label, ml.LogisticOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	env := &sqlexec.Env{Models: map[string]ml.Model{"Country": model}, Guard: guard}
+	const q = "SELECT State, COUNT(*) AS n, AVG(CASE WHEN PREDICT(Country) = 'Country_v0' THEN 1 ELSE 0 END) AS m FROM t GROUP BY State"
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sqlexec.Exec(q, table, env); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkMECvsOrientations contrasts the two search spaces of Table 7 on
 // one skeleton: enumerating the MEC vs counting all acyclic orientations.
 func BenchmarkMECvsOrientations(b *testing.B) {

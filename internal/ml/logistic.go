@@ -3,6 +3,7 @@ package ml
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/guardrail-db/guardrail/internal/dataset"
 )
@@ -12,12 +13,28 @@ import (
 // full-batch gradient descent. Together with the naive Bayes and decision
 // tree models it mirrors the model diversity of the paper's autogluon
 // ensemble ("NN, tree-based models, etc.").
+//
+// A label dictionary can hold many classes that never occur as a training
+// label (out-of-domain strings interned by other rows). Gradient descent
+// from zero weights with every target 0 follows the same trajectory for
+// each of them, so they share one trained weight vector, and Predict
+// scores it once, as the lowest such class, which is where the argmax's
+// first-wins tie-break would have put it anyway.
 type Logistic struct {
-	label      int
-	numClasses int
-	offsets    []int // feature offset per attribute (-1 for the label)
-	dim        int
-	weights    [][]float64 // per class: dim+1 (bias last)
+	label    int
+	features []feature // one per non-label attribute, in attribute order
+	dim      int
+	weights  [][]float64 // per class: dim+1 (bias last)
+	// scored lists, in increasing order, the classes Predict compares: the
+	// classes seen in training and the lowest unseen one. Every other
+	// unseen class shares that one's weight slice.
+	scored []int32
+}
+
+// feature is one attribute's one-hot block: codes 0..width-2 map to
+// off+code, missing and unseen codes to the block's last slot.
+type feature struct {
+	attr, off, width int
 }
 
 // LogisticOptions tunes training.
@@ -57,50 +74,61 @@ func TrainLogistic(rel *dataset.Relation, labelAttr int, opts LogisticOptions) (
 		return nil, fmt.Errorf("ml: label has %d classes", k)
 	}
 	m := rel.NumAttrs()
-	lr := &Logistic{label: labelAttr, numClasses: k, offsets: make([]int, m)}
+	lr := &Logistic{label: labelAttr, weights: make([][]float64, k)}
 	dim := 0
 	for a := 0; a < m; a++ {
 		if a == labelAttr {
-			lr.offsets[a] = -1
 			continue
 		}
-		lr.offsets[a] = dim
-		dim += rel.Cardinality(a) + 1 // +1 missing slot
+		w := rel.Cardinality(a) + 1 // +1 missing slot
+		lr.features = append(lr.features, feature{attr: a, off: dim, width: w})
+		dim += w
 	}
 	lr.dim = dim
-	lr.weights = make([][]float64, k)
-	for c := range lr.weights {
-		lr.weights[c] = make([]float64, dim+1)
-	}
 
 	labels := rel.Column(labelAttr)
-	// Feature index list per row (sparse one-hot).
-	features := make([][]int, n)
+	seen := make([]bool, k)
+	for _, c := range labels {
+		if c >= 0 && int(c) < k {
+			seen[c] = true
+		}
+	}
+	unseen := slices.Index(seen, false)
+	for c := 0; c < k; c++ {
+		if seen[c] || c == unseen {
+			lr.scored = append(lr.scored, int32(c))
+		}
+	}
+
+	// Active one-hot feature indices, len(lr.features) per row.
+	nf := len(lr.features)
+	feats := make([]int, 0, n*nf)
 	row := make([]int32, m)
 	for i := 0; i < n; i++ {
 		row = rel.Row(i, row)
-		features[i] = lr.featureIdx(row, nil)
+		feats = lr.appendFeatures(feats, row)
 	}
+	// Each class's descent reads only its own weights, so classes train
+	// one after another.
 	grad := make([]float64, dim+1)
 	invN := 1 / float64(n)
-	for epoch := 0; epoch < opts.Epochs; epoch++ {
-		for c := 0; c < k; c++ {
-			w := lr.weights[c]
-			for j := range grad {
-				grad[j] = 0
-			}
+	for _, c := range lr.scored {
+		w := make([]float64, dim+1)
+		for epoch := 0; epoch < opts.Epochs; epoch++ {
+			clear(grad)
 			for i := 0; i < n; i++ {
+				fi := feats[i*nf : (i+1)*nf]
 				z := w[dim]
-				for _, f := range features[i] {
+				for _, f := range fi {
 					z += w[f]
 				}
 				p := sigmoid(z)
 				y := 0.0
-				if labels[i] == int32(c) {
+				if labels[i] == c {
 					y = 1
 				}
 				d := (p - y) * invN
-				for _, f := range features[i] {
+				for _, f := range fi {
 					grad[f] += d
 				}
 				grad[dim] += d
@@ -108,6 +136,12 @@ func TrainLogistic(rel *dataset.Relation, labelAttr int, opts LogisticOptions) (
 			for j := 0; j <= dim; j++ {
 				w[j] -= opts.LearningRate * (grad[j] + opts.L2*w[j])
 			}
+		}
+		lr.weights[c] = w
+	}
+	for c := range lr.weights {
+		if lr.weights[c] == nil {
+			lr.weights[c] = lr.weights[unseen]
 		}
 	}
 	return lr, nil
@@ -121,51 +155,36 @@ func sigmoid(z float64) float64 {
 	return e / (1 + e)
 }
 
-// featureIdx maps a row to its active one-hot feature indices.
-func (lr *Logistic) featureIdx(row []int32, buf []int) []int {
-	buf = buf[:0]
-	for a, off := range lr.offsets {
-		if off < 0 {
-			continue
-		}
-		v := row[a]
-		width := lr.width(a)
-		if v < 0 || int(v) >= width-1 {
-			buf = append(buf, off+width-1) // missing / unseen slot
+// appendFeatures appends row's active one-hot feature indices to buf.
+func (lr *Logistic) appendFeatures(buf []int, row []int32) []int {
+	for _, f := range lr.features {
+		v := row[f.attr]
+		if v < 0 || int(v) >= f.width-1 {
+			buf = append(buf, f.off+f.width-1) // missing / unseen slot
 		} else {
-			buf = append(buf, off+int(v))
+			buf = append(buf, f.off+int(v))
 		}
 	}
 	return buf
 }
 
-// width returns attribute a's one-hot width (cardinality + missing slot).
-func (lr *Logistic) width(a int) int {
-	next := lr.dim
-	for b := a + 1; b < len(lr.offsets); b++ {
-		if lr.offsets[b] >= 0 {
-			next = lr.offsets[b]
-			break
-		}
-	}
-	return next - lr.offsets[a]
-}
-
 // Label returns the predicted attribute index.
 func (lr *Logistic) Label() int { return lr.label }
 
-// Predict returns the class with the highest one-vs-rest score.
+// Predict returns the class with the highest one-vs-rest score; ties go to
+// the lowest class.
 func (lr *Logistic) Predict(row []int32) int32 {
-	feats := lr.featureIdx(row, nil)
+	var buf [16]int
+	feats := lr.appendFeatures(buf[:0], row)
 	best, bestZ := int32(0), math.Inf(-1)
-	for c := 0; c < lr.numClasses; c++ {
+	for _, c := range lr.scored {
 		w := lr.weights[c]
 		z := w[lr.dim]
 		for _, f := range feats {
 			z += w[f]
 		}
 		if z > bestZ {
-			best, bestZ = int32(c), z
+			best, bestZ = c, z
 		}
 	}
 	return best

@@ -156,8 +156,9 @@ func (nb *NaiveBayes) Predict(row []int32) int32 {
 
 // --- ensemble ---
 
-// Ensemble majority-votes over member models, breaking ties toward the
-// first member's prediction.
+// Ensemble majority-votes over member models. Among classes with the most
+// votes, the one a member voted for first wins; with the first member's
+// vote always earliest, a tie with it goes to it.
 type Ensemble struct {
 	models []Model
 	label  int
@@ -173,19 +174,23 @@ func (e *Ensemble) Label() int { return e.label }
 
 // Predict returns the majority vote.
 func (e *Ensemble) Predict(row []int32) int32 {
-	votes := map[int32]int{}
-	first := int32(0)
-	for i, m := range e.models {
-		p := m.Predict(row)
-		if i == 0 {
-			first = p
-		}
-		votes[p]++
+	var buf [8]int32
+	votes := buf[:0]
+	for _, m := range e.models {
+		votes = append(votes, m.Predict(row))
 	}
-	best, bestC := first, votes[first]
-	for v, c := range votes {
-		if c > bestC {
-			best, bestC = v, c
+	// A class's first vote counts all of its votes from there on; a
+	// repeat counts fewer and cannot beat it under strict >.
+	best, bestN := int32(0), 0
+	for i, v := range votes {
+		n := 0
+		for _, w := range votes[i:] {
+			if w == v {
+				n++
+			}
+		}
+		if n > bestN {
+			best, bestN = v, n
 		}
 	}
 	return best

@@ -150,3 +150,57 @@ func TestNaiveBayesMissingValues(t *testing.T) {
 	// Predicting with a missing input must not panic.
 	_ = nb.Predict([]int32{dataset.Missing, 0})
 }
+
+// constModel always predicts the same class.
+type constModel int32
+
+func (c constModel) Predict([]int32) int32 { return int32(c) }
+func (constModel) Label() int              { return 0 }
+
+// TestEnsembleTieBreak: among the classes with the most votes, the one
+// voted for first wins, on every call.
+func TestEnsembleTieBreak(t *testing.T) {
+	for _, tc := range []struct {
+		votes []int32
+		want  int32
+	}{
+		{[]int32{7, 2, 2, 5, 5}, 2},
+		{[]int32{7, 5, 2, 2, 5}, 5},
+		{[]int32{7, 2, 5, 5, 2}, 2},
+		{[]int32{7, 2, 7, 2, 5}, 7},
+		{[]int32{7, 2, 5}, 7},
+		{[]int32{7, 2, 2}, 2},
+		{[]int32{3, 1, 1, 2, 2, 2, 3, 3, 1}, 3},
+	} {
+		models := make([]Model, len(tc.votes))
+		for i, v := range tc.votes {
+			models[i] = constModel(v)
+		}
+		ens := NewEnsemble(0, models...)
+		for run := 0; run < 200; run++ {
+			if got := ens.Predict(nil); got != tc.want {
+				t.Fatalf("votes %v, run %d: predicted %d, want %d", tc.votes, run, got, tc.want)
+			}
+		}
+	}
+}
+
+// TestPredictAllocationFree: scoring a row allocates nothing.
+func TestPredictAllocationFree(t *testing.T) {
+	train, test, label := hospitalSplit(t)
+	lr, err := TrainLogistic(train, label, LogisticOptions{Epochs: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb, err := TrainNaiveBayes(train, label)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ens := NewEnsemble(label, nb, lr, nb)
+	row := test.Row(0, nil)
+	for _, m := range []Model{lr, ens} {
+		if n := testing.AllocsPerRun(100, func() { m.Predict(row) }); n != 0 {
+			t.Errorf("%T: Predict allocates %g times per row", m, n)
+		}
+	}
+}

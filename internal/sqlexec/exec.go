@@ -2,6 +2,7 @@ package sqlexec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -41,6 +42,14 @@ func (v Value) String() string {
 		return strconv.FormatFloat(v.Num, 'g', -1, 64)
 	}
 	return v.Str
+}
+
+// appendTo appends v.String() to b without allocating for numbers.
+func (v Value) appendTo(b []byte) []byte {
+	if v.IsNum && !v.Null {
+		return strconv.AppendFloat(b, v.Num, 'g', -1, 64)
+	}
+	return append(b, v.String()...)
 }
 
 // truthy interprets a value as a boolean predicate result.
@@ -140,107 +149,174 @@ func Run(q *Query, rel *dataset.Relation, env *Env) (*Result, error) {
 			return nil, fmt.Errorf("sqlexec: query reads table %q, relation is %q", q.From, rel.Name())
 		}
 	}
-	ex := &executor{rel: rel, env: env}
-	if err := ex.resolveQuery(q); err != nil {
+	ex := &executor{rel: rel, env: env, width: rel.NumAttrs(), vals: make([][]Value, rel.NumAttrs())}
+	bq, err := ex.bindQuery(q)
+	if err != nil {
 		return nil, err
 	}
-	return ex.run(q)
+	res, err := ex.run(bq)
+	if err != nil {
+		return nil, err
+	}
+	res.Cols = make([]string, len(q.Select))
+	for ci, it := range q.Select {
+		res.Cols[ci] = columnName(it, ci)
+	}
+	return res, nil
 }
 
 type executor struct {
 	rel   *dataset.Relation
 	env   *Env
 	stats Stats
-	// preds caches per-row predictions by label attr name.
-	preds map[string][]int32
+	// rows holds the scanned row copies, width codes per row.
+	rows  []int32
+	width int
+	// vals[a] is attribute a's decodeDict, built once per query; nil for
+	// attributes the query does not read.
+	vals [][]Value
+	// labels lists the PREDICT targets in order of first reference;
+	// preds[s] holds labels[s]'s per-row predictions.
+	labels []string
+	preds  [][]int32
 }
 
-// resolveQuery checks every column reference and PREDICT target up front.
-func (ex *executor) resolveQuery(q *Query) error {
-	var walk func(e Expr) error
-	walk = func(e Expr) error {
-		switch n := e.(type) {
-		case ColRef:
-			if ex.rel.AttrIndex(n.Name) < 0 {
-				return fmt.Errorf("sqlexec: unknown column %q", n.Name)
-			}
-			if n.Pred {
-				if ex.env.Models == nil || ex.env.Models[n.Name] == nil {
-					return fmt.Errorf("sqlexec: no model registered for %q", n.Name)
-				}
-			}
-			return nil
-		case Binary:
-			if err := walk(n.L); err != nil {
-				return err
-			}
-			return walk(n.R)
-		case Unary:
-			return walk(n.E)
-		case Case:
-			for _, w := range n.Whens {
-				if err := walk(w.Cond); err != nil {
-					return err
-				}
-				if err := walk(w.Then); err != nil {
-					return err
-				}
-			}
-			if n.Else != nil {
-				return walk(n.Else)
-			}
-			return nil
-		case Agg:
-			if n.Star {
-				return nil
-			}
-			return walk(n.Arg)
-		case InList:
-			if err := walk(n.E); err != nil {
-				return err
-			}
-			for _, it := range n.Items {
-				if err := walk(it); err != nil {
-					return err
-				}
-			}
-			return nil
-		default:
-			return nil
+// boundCol is a ColRef resolved against the relation once per query: attr
+// is its attribute index and, for a prediction, slot indexes ex.preds.
+type boundCol struct {
+	ColRef
+	attr, slot int
+}
+
+func (boundCol) exprNode() {}
+
+// row returns scanned row i.
+func (ex *executor) row(i int) []int32 {
+	return ex.rows[i*ex.width : (i+1)*ex.width : (i+1)*ex.width]
+}
+
+// bindQuery checks every column reference and PREDICT target up front and
+// returns a copy of q whose column references are bound.
+func (ex *executor) bindQuery(q *Query) (*Query, error) {
+	bq := *q
+	bq.Select = slices.Clone(q.Select)
+	bq.GroupBy = slices.Clone(q.GroupBy)
+	bq.OrderBy = slices.Clone(q.OrderBy)
+	var err error
+	bind := func(e *Expr) {
+		if err == nil && *e != nil {
+			*e, err = ex.bind(*e)
 		}
 	}
-	for _, it := range q.Select {
-		if err := walk(it.Expr); err != nil {
-			return err
+	for i := range bq.Select {
+		bind(&bq.Select[i].Expr)
+	}
+	bind(&bq.Where)
+	for i := range bq.GroupBy {
+		bind(&bq.GroupBy[i])
+	}
+	bind(&bq.Having)
+	for i := range bq.OrderBy {
+		bind(&bq.OrderBy[i].Expr)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &bq, nil
+}
+
+// bind returns e with every ColRef replaced by its boundCol, decoding the
+// dictionary of each attribute the query reads.
+func (ex *executor) bind(e Expr) (Expr, error) {
+	var err error
+	switch n := e.(type) {
+	case ColRef:
+		a := ex.rel.AttrIndex(n.Name)
+		if a < 0 {
+			return nil, fmt.Errorf("sqlexec: unknown column %q", n.Name)
+		}
+		if ex.vals[a] == nil {
+			ex.vals[a] = decodeDict(ex.rel.Dict(a))
+		}
+		b := boundCol{ColRef: n, attr: a, slot: -1}
+		if n.Pred {
+			if ex.env.Models == nil || ex.env.Models[n.Name] == nil {
+				return nil, fmt.Errorf("sqlexec: no model registered for %q", n.Name)
+			}
+			b.slot = slices.Index(ex.labels, n.Name)
+			if b.slot < 0 {
+				b.slot = len(ex.labels)
+				ex.labels = append(ex.labels, n.Name)
+			}
+		}
+		return b, nil
+	case Binary:
+		if n.L, err = ex.bind(n.L); err != nil {
+			return nil, err
+		}
+		n.R, err = ex.bind(n.R)
+		return n, err
+	case Unary:
+		n.E, err = ex.bind(n.E)
+		return n, err
+	case Case:
+		whens := make([]WhenArm, len(n.Whens))
+		for i, w := range n.Whens {
+			if whens[i].Cond, err = ex.bind(w.Cond); err != nil {
+				return nil, err
+			}
+			if whens[i].Then, err = ex.bind(w.Then); err != nil {
+				return nil, err
+			}
+		}
+		n.Whens = whens
+		if n.Else != nil {
+			n.Else, err = ex.bind(n.Else)
+		}
+		return n, err
+	case Agg:
+		if !n.Star {
+			n.Arg, err = ex.bind(n.Arg)
+		}
+		return n, err
+	case InList:
+		if n.E, err = ex.bind(n.E); err != nil {
+			return nil, err
+		}
+		items := make([]Expr, len(n.Items))
+		for i, it := range n.Items {
+			if items[i], err = ex.bind(it); err != nil {
+				return nil, err
+			}
+		}
+		n.Items = items
+		return n, nil
+	default:
+		return e, nil
+	}
+}
+
+// decodeDict decodes a dictionary into SQL values, shifted by one so that
+// index 0 is the NULL of a missing cell. A string that parses as a float
+// is a number, so "1" and "1.0" compare and group alike.
+func decodeDict(d *dataset.Dict) []Value {
+	vals := make([]Value, d.Len()+1)
+	vals[0] = NullValue
+	for c := range d.Len() {
+		s := d.Value(int32(c))
+		if f, err := strconv.ParseFloat(s, 64); err == nil {
+			vals[c+1] = NumValue(f)
+		} else {
+			vals[c+1] = StrValue(s)
 		}
 	}
-	if q.Where != nil {
-		if err := walk(q.Where); err != nil {
-			return err
-		}
-	}
-	for _, g := range q.GroupBy {
-		if err := walk(g); err != nil {
-			return err
-		}
-	}
-	if q.Having != nil {
-		if err := walk(q.Having); err != nil {
-			return err
-		}
-	}
-	for _, k := range q.OrderBy {
-		if err := walk(k.Expr); err != nil {
-			return err
-		}
-	}
-	return nil
+	return vals
 }
 
 // usesPred reports whether e references any prediction.
 func usesPred(e Expr) bool {
 	switch n := e.(type) {
-	case ColRef:
+	case boundCol:
 		return n.Pred
 	case Binary:
 		return usesPred(n.L) || usesPred(n.R)
@@ -291,9 +367,11 @@ func (ex *executor) run(q *Query) (*Result, error) {
 	// anything downstream sees it (Example 1.2). Work on copies so Coerce
 	// and Rectify do not mutate the caller's relation.
 	ssp := tsc.Start("sql.scan")
-	rows := make([][]int32, n)
-	for i := 0; i < n; i++ {
-		rows[i] = rel.Row(i, nil)
+	ex.rows = make([]int32, n*ex.width)
+	for a := 0; a < ex.width; a++ {
+		for i, c := range rel.Column(a)[:n] {
+			ex.rows[i*ex.width+a] = c
+		}
 	}
 	ssp.End()
 	if ex.env.Guard != nil {
@@ -310,8 +388,8 @@ func (ex *executor) run(q *Query) (*Result, error) {
 		}
 		t0 := time.Now()
 		gsp := tsc.Start("sql.guard").Str("engine", ex.env.Guard.Engine().String())
-		for i := range rows {
-			if _, err := ex.env.Guard.CheckRow(rows[i]); err != nil {
+		for i := 0; i < n; i++ {
+			if _, err := ex.env.Guard.CheckRow(ex.row(i)); err != nil {
 				gsp.End()
 				return nil, fmt.Errorf("sqlexec: guard: %w", err)
 			}
@@ -334,11 +412,11 @@ func (ex *executor) run(q *Query) (*Result, error) {
 			}
 		}
 	}
-	var live []int
-	for i := range rows {
+	live := make([]int, 0, n)
+	for i := 0; i < n; i++ {
 		keep := true
 		for _, c := range pre {
-			v, err := ex.evalRow(c, rows[i])
+			v, err := ex.evalRowIdx(c, ex.row(i), -1)
 			if err != nil {
 				psp.End()
 				return nil, err
@@ -356,43 +434,45 @@ func (ex *executor) run(q *Query) (*Result, error) {
 	reg.Counter("sql.rows_filtered").Add(int64(ex.stats.RowsFiltered))
 	psp.Int("filtered", int64(ex.stats.RowsFiltered)).End()
 
-	// Stage 2: compute needed predictions for surviving rows.
-	labels := map[string]bool{}
-	collectPredLabels(q, labels)
-	ex.preds = map[string][]int32{}
-	for label := range labels {
+	// Stage 2: compute needed predictions for surviving rows, one model
+	// call per live row and label.
+	ex.preds = make([][]int32, len(ex.labels))
+	for slot, label := range ex.labels {
 		model := ex.env.Models[label]
 		col := make([]int32, n)
 		t0 := time.Now()
 		msp := tsc.Start("sql.predict").Str("label", label).Int("rows", int64(len(live)))
 		for _, i := range live {
-			col[i] = model.Predict(rows[i])
+			col[i] = model.Predict(ex.row(i))
 			ex.stats.PredictCalls++
 		}
 		msp.End()
 		dt := time.Since(t0)
 		ex.stats.InferenceTime += dt
 		reg.Histogram("sql.inference").Observe(int64(dt))
-		ex.preds[label] = col
+		ex.preds[slot] = col
 	}
 	reg.Counter("sql.predict_calls").Add(int64(ex.stats.PredictCalls))
 
 	// Stage 3: residual WHERE.
-	var final []int
-	for _, i := range live {
-		keep := true
-		for _, c := range post {
-			v, err := ex.evalRowIdx(c, rows[i], i)
-			if err != nil {
-				return nil, err
+	final := live
+	if len(post) > 0 {
+		final = make([]int, 0, len(live))
+		for _, i := range live {
+			keep := true
+			for _, c := range post {
+				v, err := ex.evalRowIdx(c, ex.row(i), i)
+				if err != nil {
+					return nil, err
+				}
+				if !v.truthy() {
+					keep = false
+					break
+				}
 			}
-			if !v.truthy() {
-				keep = false
-				break
+			if keep {
+				final = append(final, i)
 			}
-		}
-		if keep {
-			final = append(final, i)
 		}
 	}
 
@@ -401,43 +481,43 @@ func (ex *executor) run(q *Query) (*Result, error) {
 		key  string
 		rows []int
 	}
-	var groups []*grp
+	var groups []grp
 	if len(q.GroupBy) == 0 && !hasAggregates(q) && q.Having == nil {
 		// Plain projection: one output row per input row.
-		for _, i := range final {
-			groups = append(groups, &grp{rows: []int{i}})
+		groups = make([]grp, len(final))
+		for j := range final {
+			groups[j].rows = final[j : j+1 : j+1]
 		}
 	} else if len(q.GroupBy) == 0 {
-		groups = []*grp{{rows: final}}
+		groups = []grp{{rows: final}}
 	} else {
-		byKey := map[string]*grp{}
+		byKey := map[string]int{}
+		var kb []byte
 		for _, i := range final {
-			var kb strings.Builder
+			kb = kb[:0]
 			for _, g := range q.GroupBy {
-				v, err := ex.evalRowIdx(g, rows[i], i)
+				v, err := ex.evalRowIdx(g, ex.row(i), i)
 				if err != nil {
 					return nil, err
 				}
-				kb.WriteString(v.String())
-				kb.WriteByte('\x00')
+				kb = append(v.appendTo(kb), 0)
 			}
-			k := kb.String()
-			gp := byKey[k]
-			if gp == nil {
-				gp = &grp{key: k}
-				byKey[k] = gp
-				groups = append(groups, gp)
+			gi, ok := byKey[string(kb)]
+			if !ok {
+				gi = len(groups)
+				groups = append(groups, grp{key: string(kb)})
+				byKey[groups[gi].key] = gi
 			}
-			gp.rows = append(gp.rows, i)
+			groups[gi].rows = append(groups[gi].rows, i)
 		}
 		sort.Slice(groups, func(a, b int) bool { return groups[a].key < groups[b].key })
 	}
 
 	// Stage 5: HAVING over groups.
 	if q.Having != nil {
-		var kept []*grp
+		var kept []grp
 		for _, g := range groups {
-			v, err := ex.evalGroup(q.Having, rows, g.rows)
+			v, err := ex.evalGroup(q.Having, g.rows)
 			if err != nil {
 				return nil, err
 			}
@@ -455,7 +535,7 @@ func (ex *executor) run(q *Query) (*Result, error) {
 		for i, g := range groups {
 			keys[i] = make([]Value, len(q.OrderBy))
 			for ki, k := range q.OrderBy {
-				v, err := ex.evalGroup(k.Expr, rows, g.rows)
+				v, err := ex.evalGroup(k.Expr, g.rows)
 				if err != nil {
 					return nil, err
 				}
@@ -479,7 +559,7 @@ func (ex *executor) run(q *Query) (*Result, error) {
 			}
 			return false
 		})
-		sorted := make([]*grp, len(groups))
+		sorted := make([]grp, len(groups))
 		for i, j := range idx {
 			sorted[i] = groups[j]
 		}
@@ -488,31 +568,29 @@ func (ex *executor) run(q *Query) (*Result, error) {
 
 	// Stage 7: projection and LIMIT.
 	res := &Result{}
-	for ci, it := range q.Select {
-		res.Cols = append(res.Cols, columnName(it, ci))
-	}
 	seen := map[string]bool{}
+	var kb []byte
 	for _, g := range groups {
 		if len(q.GroupBy) == 0 && len(g.rows) == 0 && !hasAggregates(q) {
 			continue
 		}
 		out := make([]Value, len(q.Select))
 		for ci, it := range q.Select {
-			v, err := ex.evalGroup(it.Expr, rows, g.rows)
+			v, err := ex.evalGroup(it.Expr, g.rows)
 			if err != nil {
 				return nil, err
 			}
 			out[ci] = v
 		}
 		if q.Distinct {
-			key := ""
+			kb = kb[:0]
 			for _, v := range out {
-				key += v.String() + "\x00"
+				kb = append(v.appendTo(kb), 0)
 			}
-			if seen[key] {
+			if seen[string(kb)] {
 				continue
 			}
-			seen[key] = true
+			seen[string(kb)] = true
 		}
 		res.Rows = append(res.Rows, out)
 		if q.Limit >= 0 && len(res.Rows) >= q.Limit {
@@ -576,55 +654,6 @@ func exprHasAgg(e Expr) bool {
 	return false
 }
 
-func collectPredLabels(q *Query, out map[string]bool) {
-	var walk func(e Expr)
-	walk = func(e Expr) {
-		switch n := e.(type) {
-		case ColRef:
-			if n.Pred {
-				out[n.Name] = true
-			}
-		case Binary:
-			walk(n.L)
-			walk(n.R)
-		case Unary:
-			walk(n.E)
-		case Case:
-			for _, w := range n.Whens {
-				walk(w.Cond)
-				walk(w.Then)
-			}
-			if n.Else != nil {
-				walk(n.Else)
-			}
-		case Agg:
-			if !n.Star {
-				walk(n.Arg)
-			}
-		case InList:
-			walk(n.E)
-			for _, it := range n.Items {
-				walk(it)
-			}
-		}
-	}
-	for _, it := range q.Select {
-		walk(it.Expr)
-	}
-	if q.Where != nil {
-		walk(q.Where)
-	}
-	for _, g := range q.GroupBy {
-		walk(g)
-	}
-	if q.Having != nil {
-		walk(q.Having)
-	}
-	for _, k := range q.OrderBy {
-		walk(k.Expr)
-	}
-}
-
 func columnName(it SelectItem, i int) string {
 	if it.Alias != "" {
 		return it.Alias
@@ -644,11 +673,6 @@ func columnName(it SelectItem, i int) string {
 	return fmt.Sprintf("col%d", i)
 }
 
-// evalRow evaluates a prediction-free expression against one row.
-func (ex *executor) evalRow(e Expr, row []int32) (Value, error) {
-	return ex.evalRowIdx(e, row, -1)
-}
-
 // evalRowIdx evaluates e against one row; idx supplies the row's index for
 // prediction lookups (-1 when predictions are unavailable).
 func (ex *executor) evalRowIdx(e Expr, row []int32, idx int) (Value, error) {
@@ -657,15 +681,14 @@ func (ex *executor) evalRowIdx(e Expr, row []int32, idx int) (Value, error) {
 		return NumValue(n.V), nil
 	case StrLit:
 		return StrValue(n.V), nil
-	case ColRef:
-		a := ex.rel.AttrIndex(n.Name)
+	case boundCol:
 		if n.Pred {
 			if idx < 0 {
 				return NullValue, fmt.Errorf("sqlexec: prediction for %q unavailable in this context", n.Name)
 			}
-			return ex.attrValue(a, ex.preds[n.Name][idx]), nil
+			return ex.vals[n.attr][ex.preds[n.slot][idx]+1], nil
 		}
-		return ex.attrValue(a, row[a]), nil
+		return ex.vals[n.attr][row[n.attr]+1], nil
 	case Unary:
 		v, err := ex.evalRowIdx(n.E, row, idx)
 		if err != nil {
@@ -721,17 +744,6 @@ func (ex *executor) evalRowIdx(e Expr, row []int32, idx int) (Value, error) {
 		return boolValue(found != n.Neg), nil
 	}
 	return NullValue, fmt.Errorf("sqlexec: unhandled expression %T", e)
-}
-
-func (ex *executor) attrValue(attr int, code int32) Value {
-	if code == dataset.Missing {
-		return NullValue
-	}
-	s := ex.rel.Dict(attr).Value(code)
-	if f, err := strconv.ParseFloat(s, 64); err == nil {
-		return NumValue(f)
-	}
-	return StrValue(s)
 }
 
 func boolValue(b bool) Value {
@@ -831,22 +843,22 @@ func (ex *executor) evalBinary(n Binary, row []int32, idx int) (Value, error) {
 // evalGroup evaluates a select expression over a group: aggregates fold
 // their argument across the group's rows; bare columns take the first
 // row's value (the group key case).
-func (ex *executor) evalGroup(e Expr, rows [][]int32, group []int) (Value, error) {
+func (ex *executor) evalGroup(e Expr, group []int) (Value, error) {
 	switch n := e.(type) {
 	case Agg:
-		return ex.evalAgg(n, rows, group)
+		return ex.evalAgg(n, group)
 	case Binary:
-		l, err := ex.evalGroup(n.L, rows, group)
+		l, err := ex.evalGroup(n.L, group)
 		if err != nil {
 			return NullValue, err
 		}
-		r, err := ex.evalGroup(n.R, rows, group)
+		r, err := ex.evalGroup(n.R, group)
 		if err != nil {
 			return NullValue, err
 		}
 		return ex.evalBinary(Binary{Op: n.Op, L: litOf(l), R: litOf(r)}, nil, -1)
 	case Unary:
-		v, err := ex.evalGroup(n.E, rows, group)
+		v, err := ex.evalGroup(n.E, group)
 		if err != nil {
 			return NullValue, err
 		}
@@ -855,7 +867,7 @@ func (ex *executor) evalGroup(e Expr, rows [][]int32, group []int) (Value, error
 		if len(group) == 0 {
 			return NullValue, nil
 		}
-		return ex.evalRowIdx(e, rows[group[0]], group[0])
+		return ex.evalRowIdx(e, ex.row(group[0]), group[0])
 	}
 }
 
@@ -870,14 +882,16 @@ func litOf(v Value) Expr {
 	return StrLit{V: v.Str}
 }
 
-func (ex *executor) evalAgg(n Agg, rows [][]int32, group []int) (Value, error) {
+// evalAgg folds an aggregate over the group in one pass, adding in row
+// order.
+func (ex *executor) evalAgg(n Agg, group []int) (Value, error) {
 	if n.Star {
 		return NumValue(float64(len(group))), nil
 	}
-	var vals []float64
-	count := 0
+	var sum, m float64
+	count, nums := 0, 0
 	for _, i := range group {
-		v, err := ex.evalRowIdx(n.Arg, rows[i], i)
+		v, err := ex.evalRowIdx(n.Arg, ex.row(i), i)
 		if err != nil {
 			return NullValue, err
 		}
@@ -885,36 +899,32 @@ func (ex *executor) evalAgg(n Agg, rows [][]int32, group []int) (Value, error) {
 			continue
 		}
 		count++
-		if v.IsNum {
-			vals = append(vals, v.Num)
-		} else if n.Fn != "COUNT" {
-			return NullValue, fmt.Errorf("sqlexec: %s over non-numeric values", n.Fn)
+		if !v.IsNum {
+			if n.Fn != "COUNT" {
+				return NullValue, fmt.Errorf("sqlexec: %s over non-numeric values", n.Fn)
+			}
+			continue
 		}
+		sum += v.Num
+		if nums == 0 || (n.Fn == "MIN" && v.Num < m) || (n.Fn == "MAX" && v.Num > m) {
+			m = v.Num
+		}
+		nums++
 	}
 	switch n.Fn {
 	case "COUNT":
 		return NumValue(float64(count)), nil
 	case "SUM", "AVG":
-		var s float64
-		for _, v := range vals {
-			s += v
-		}
 		if n.Fn == "SUM" {
-			return NumValue(s), nil
+			return NumValue(sum), nil
 		}
-		if len(vals) == 0 {
+		if nums == 0 {
 			return NullValue, nil
 		}
-		return NumValue(s / float64(len(vals))), nil
+		return NumValue(sum / float64(nums)), nil
 	case "MIN", "MAX":
-		if len(vals) == 0 {
+		if nums == 0 {
 			return NullValue, nil
-		}
-		m := vals[0]
-		for _, v := range vals[1:] {
-			if (n.Fn == "MIN" && v < m) || (n.Fn == "MAX" && v > m) {
-				m = v
-			}
 		}
 		return NumValue(m), nil
 	}
