@@ -212,17 +212,16 @@ func benchGuardFixture(b *testing.B) (*dsl.Program, *dataset.Relation) {
 	return res.Program, dirty
 }
 
-// benchGuardEngines runs fn once per engine under a sub-bench.
+// benchGuardEngines runs fn once per engine constructor under a
+// sub-bench named for the engine's backend.
 func benchGuardEngines(b *testing.B, prog *dsl.Program, strategy core.Strategy, fn func(b *testing.B, g *core.Guard)) {
 	b.Helper()
-	for _, engine := range []core.Engine{core.EngineAST, core.EngineCompiled} {
-		b.Run("engine="+engine.String(), func(b *testing.B) {
-			g := core.NewGuard(prog, strategy)
-			if engine == core.EngineCompiled {
-				if _, err := g.Compile(compile.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
+	for _, eng := range []*core.Engine{core.NewEngine(prog), core.CompileEngine(prog, compile.Options{})} {
+		if err := eng.Fallback(); err != nil {
+			b.Fatal(err)
+		}
+		b.Run("engine="+eng.Backend(), func(b *testing.B) {
+			g := eng.Guard(strategy)
 			b.ReportAllocs()
 			b.ResetTimer()
 			fn(b, g)

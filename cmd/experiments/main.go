@@ -60,12 +60,12 @@ func main() {
 		tr = trace.New(w)
 	}
 
-	eng, err := core.ParseEngine(*engine)
+	newEngine, err := core.EngineNamed(*engine)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
 	}
-	cfg := experiments.Config{Scale: *scale, Seed: *seed, Epsilon: *eps, Workers: *workers, Obs: reg, Trace: tr.Root(), Engine: eng}
+	cfg := experiments.Config{Scale: *scale, Seed: *seed, Epsilon: *eps, Workers: *workers, Obs: reg, Trace: tr.Root(), Engine: newEngine}
 	if *datasets != "" {
 		for _, part := range strings.Split(*datasets, ",") {
 			id, err := strconv.Atoi(strings.TrimSpace(part))

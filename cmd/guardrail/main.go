@@ -369,7 +369,7 @@ func cmdCheck(args []string, rectify bool) error {
 	if rectify {
 		command = "rectify"
 	}
-	eng, err := core.ParseEngine(*engine)
+	newEngine, err := core.EngineNamed(*engine)
 	if err != nil {
 		return err
 	}
@@ -377,20 +377,19 @@ func cmdCheck(args []string, rectify bool) error {
 	if err != nil {
 		return err
 	}
-	guard := core.NewGuard(program, strat).Instrument(reg).WithTrace(tr.Root(), 0)
-	if eng == core.EngineCompiled {
-		// Compile over the open universe — sound even for CSV values the
-		// training data never produced. A failed translation validation is
-		// not fatal: the AST interpreter computes the same reports.
-		if val, cerr := guard.Compile(compile.Options{Obs: reg, Trace: tr.Root()}); cerr != nil {
-			fmt.Fprintf(os.Stderr, "engine: ast (compiled unavailable: %v)\n", cerr)
-		} else {
-			fmt.Fprintln(os.Stderr, "engine: compiled")
+	// The compiled engine compiles over the open universe — sound even for
+	// CSV values the training data never produced. A failed translation
+	// validation is not fatal: the AST interpreter computes the same reports.
+	eng := newEngine(program, compile.Options{Obs: reg, Trace: tr.Root()})
+	if err := eng.Fallback(); err != nil {
+		fmt.Fprintf(os.Stderr, "engine: ast (compiled unavailable: %v)\n", err)
+	} else {
+		fmt.Fprintln(os.Stderr, "engine:", eng.Backend())
+		if val := eng.Validation(); val != nil {
 			fmt.Fprintln(os.Stderr, val.Summary())
 		}
-	} else {
-		fmt.Fprintln(os.Stderr, "engine: ast")
 	}
+	guard := eng.Guard(strat).Instrument(reg).WithTrace(tr.Root(), 0)
 	rep, err := guard.Apply(rel)
 	if err != nil {
 		return err

@@ -107,12 +107,12 @@ func cmdServe(args []string) (err error) {
 		if err != nil {
 			return err
 		}
-		engine := e.EngineName()
-		if e.CompileErr != "" {
-			engine += " (compiled unavailable: " + e.CompileErr + ")"
+		engine := e.Backend()
+		if err := e.Fallback(); err != nil {
+			engine += " (compiled unavailable: " + err.Error() + ")"
 		}
 		fmt.Fprintf(os.Stderr, "loaded program %q: %d statements, fingerprint %s, engine %s\n",
-			e.Name, len(e.Program.Stmts), e.FingerprintHex(), engine)
+			e.Name, len(e.Program().Stmts), e.FingerprintHex(), engine)
 	}
 
 	srv := serve.New(serve.Config{

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"github.com/guardrail-db/guardrail/internal/dataset"
+	"github.com/guardrail-db/guardrail/internal/dsl"
 	"github.com/guardrail-db/guardrail/internal/dsl/compile"
 )
 
@@ -18,48 +21,141 @@ func compiledGuard(t *testing.T, f *fixture, s Strategy) *Guard {
 	if _, err := g.Compile(compile.Options{}); err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	if g.Engine() != EngineCompiled {
+	if g.Engine().Backend() != "compiled" {
 		t.Fatal("guard not on compiled engine after Compile")
 	}
 	return g
 }
 
-func TestEngineParseRoundTrip(t *testing.T) {
-	for _, e := range []Engine{EngineAST, EngineCompiled} {
-		got, err := ParseEngine(e.String())
-		if err != nil || got != e {
-			t.Fatalf("round trip failed for %v: %v %v", e, got, err)
+// uncompilable appends to prog a statement the interpreter can run (its
+// condition never matches a real code) but compile.Compile rejects, so
+// CompileEngine must fall back.
+func uncompilable(prog *dsl.Program) *dsl.Program {
+	bad := dsl.Statement{On: 0, Branches: []dsl.Branch{{Cond: []dsl.Pred{{Attr: 0, Value: -5}}, Value: -2}}}
+	return &dsl.Program{Stmts: append(append([]dsl.Statement{}, prog.Stmts...), bad)}
+}
+
+func TestEngineConstructors(t *testing.T) {
+	f := setup(t)
+	if e := NewEngine(f.prog); e.Backend() != "ast" || e.Validation() != nil || e.Fallback() != nil || e.Program() != f.prog {
+		t.Fatalf("NewEngine: backend %s validation %v fallback %v", e.Backend(), e.Validation(), e.Fallback())
+	}
+	e := CompileEngine(f.prog, compile.Options{})
+	if e.Backend() != "compiled" || e.Fallback() != nil || !e.Validation().AllProved() {
+		t.Fatalf("CompileEngine: backend %s fallback %v", e.Backend(), e.Fallback())
+	}
+	for name, want := range map[string]string{"ast": "ast", "compiled": "compiled"} {
+		build, err := EngineNamed(name)
+		if err != nil || build(f.prog, compile.Options{}).Backend() != want {
+			t.Fatalf("EngineNamed(%q): %v", name, err)
 		}
 	}
-	if _, err := ParseEngine("jit"); err == nil {
-		t.Fatal("unknown engine accepted")
+	if _, err := EngineNamed("jit"); err == nil || err.Error() != `core: unknown engine "jit"` {
+		t.Fatalf("unknown engine: %v", err)
 	}
 }
 
-func TestEngineSwitches(t *testing.T) {
+// TestEngineFallback: a program the compiler rejects still yields a
+// usable engine on the AST that records why, and Guard.Compile reports the
+// failure while keeping the guard on its current engine.
+func TestEngineFallback(t *testing.T) {
 	f := setup(t)
-	g := NewGuard(f.prog, Ignore)
-	if g.Engine() != EngineAST {
-		t.Fatal("new guard not on AST engine")
+	prog := uncompilable(f.prog)
+	e := CompileEngine(prog, compile.Options{})
+	if e.Backend() != "ast" || e.Fallback() == nil || !strings.Contains(e.Fallback().Error(), "below the code space") {
+		t.Fatalf("backend %s fallback %v", e.Backend(), e.Fallback())
 	}
-	if g.UseCompiled() {
-		t.Fatal("UseCompiled succeeded before Compile")
-	}
-	if g.Validation() != nil {
-		t.Fatal("Validation non-nil before Compile")
-	}
-	if _, err := g.Compile(compile.Options{}); err != nil {
+	astRel, fbRel := f.dirty.Clone(), f.dirty.Clone()
+	astRep, err := NewGuard(f.prog, Rectify).Apply(astRel)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Validation() == nil || !g.Validation().AllProved() {
-		t.Fatal("missing or unproved validation record")
+	fbRep, err := e.Guard(Rectify).Apply(fbRel)
+	if err != nil {
+		t.Fatal(err)
 	}
-	g.UseAST()
-	if g.Engine() != EngineAST {
-		t.Fatal("UseAST did not switch back")
+	if !reflect.DeepEqual(astRep, fbRep) {
+		t.Fatalf("fallback engine report %+v, AST %+v", fbRep, astRep)
 	}
-	if !g.UseCompiled() || g.Engine() != EngineCompiled {
-		t.Fatal("UseCompiled did not re-activate the compiled form")
+	g := NewGuard(prog, Ignore)
+	before := g.Engine()
+	if _, err := g.Compile(compile.Options{}); err == nil || g.Engine() != before {
+		t.Fatalf("Compile on an uncompilable program: err %v, engine switched %v", err, g.Engine() != before)
+	}
+}
+
+// TestStepCountsFinalCells: with two statements on one attribute the
+// second undoes the first, so Rectify makes two assignments but the row
+// leaves unchanged, and Step reports 0 changed cells on both engines.
+func TestStepCountsFinalCells(t *testing.T) {
+	rel := dataset.New("t", []string{"a", "b", "c"})
+	for _, r := range [][]string{{"0", "0", "1"}, {"1", "1", "0"}} {
+		if err := rel.AppendRow(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prog, err := dsl.Parse("GIVEN a ON b HAVING IF a = \"0\" THEN b <- \"1\";\nGIVEN c ON b HAVING IF c = \"1\" THEN b <- \"0\";\n", rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []*Engine{NewEngine(prog), CompileEngine(prog, compile.Options{})} {
+		row := rel.Row(0, nil)
+		if n := e.Rectify(append([]int32(nil), row...)); n != 2 {
+			t.Errorf("%s: Rectify made %d assignments, want 2", e.Backend(), n)
+		}
+		vs, changed, err := e.Guard(Rectify).Step(row)
+		if err != nil || len(vs) != 1 || changed != 0 {
+			t.Errorf("%s: Step = %d violations, %d changed, %v; want 1, 0, nil", e.Backend(), len(vs), changed, err)
+		}
+	}
+}
+
+// TestEngineConcurrentGuards: eight goroutines share one Engine, each on
+// its own Guard, and every verdict and output row matches a serial run —
+// under every strategy, on both backends. Run with -race.
+func TestEngineConcurrentGuards(t *testing.T) {
+	f := setup(t)
+	rows := make([][]int32, f.dirty.NumRows())
+	for i := range rows {
+		rows[i] = f.dirty.Row(i, nil)
+	}
+	type result struct {
+		row     []int32
+		nvs     int
+		changed int
+		err     string
+	}
+	run := func(g *Guard) []result {
+		out := make([]result, len(rows))
+		for i, r := range rows {
+			row := append([]int32(nil), r...)
+			vs, changed, err := g.Step(row)
+			out[i] = result{row: row, nvs: len(vs), changed: changed}
+			if err != nil {
+				out[i].err = err.Error()
+			}
+		}
+		return out
+	}
+	for _, e := range []*Engine{NewEngine(f.prog), CompileEngine(f.prog, compile.Options{})} {
+		for _, s := range []Strategy{Raise, Ignore, Coerce, Rectify} {
+			want := run(e.Guard(s))
+			got := make([][]result, 8)
+			var wg sync.WaitGroup
+			for w := range got {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					got[w] = run(e.Guard(s))
+				}(w)
+			}
+			wg.Wait()
+			for w := range got {
+				if !reflect.DeepEqual(got[w], want) {
+					t.Fatalf("%s/%s: goroutine %d differs from the serial run", e.Backend(), s, w)
+				}
+			}
+		}
 	}
 }
 

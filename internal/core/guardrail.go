@@ -16,40 +16,6 @@ import (
 	"github.com/guardrail-db/guardrail/internal/synth"
 )
 
-// Engine selects the row-check execution backend.
-type Engine int
-
-const (
-	// EngineAST walks the DSL syntax tree per row — the reference
-	// interpreter and the differential-testing oracle.
-	EngineAST Engine = iota
-	// EngineCompiled runs the translation-validated form produced by
-	// internal/dsl/compile: pruned statements, hoisted guards, and
-	// perfect-hashed branch dispatch. Behaviorally identical to EngineAST
-	// on every observable (reports, streams, errors) — Compile refuses to
-	// activate it otherwise.
-	EngineCompiled
-)
-
-// String names the engine as the CLI -engine flag spells it.
-func (e Engine) String() string {
-	if e == EngineCompiled {
-		return "compiled"
-	}
-	return "ast"
-}
-
-// ParseEngine converts an engine name to its value.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "ast":
-		return EngineAST, nil
-	case "compiled":
-		return EngineCompiled, nil
-	}
-	return 0, fmt.Errorf("core: unknown engine %q", s)
-}
-
 // Strategy selects how the guard handles a row that violates constraints.
 type Strategy int
 
@@ -111,9 +77,12 @@ func Synthesize(rel *dataset.Relation, opts Options) (*Result, error) {
 // ErrViolation is returned by Raise-mode guards; errors.Is matches it.
 var ErrViolation = errors.New("guardrail: integrity constraint violated")
 
-// Guard enforces a synthesized program on incoming rows.
+// Guard enforces a synthesized program on incoming rows: an Engine, an
+// error-handling strategy, and the per-row scratch the engine leaves to its
+// callers. A Guard is not safe for concurrent use; goroutines sharing an
+// Engine each build their own Guard on it.
 type Guard struct {
-	prog     *dsl.Program
+	eng      *Engine
 	strategy Strategy
 	metrics  guardMetrics
 	// tr parents guard.apply / stream.csv spans; sampleEvery bounds per-row
@@ -122,12 +91,10 @@ type Guard struct {
 	tr          trace.Scope
 	sampleEvery int
 
-	// engine/compiled select the execution backend; vbuf is the violation
-	// buffer the compiled hot path reuses across CheckRow calls.
-	engine   Engine
-	compiled *compile.Prog
-	cval     *compile.Validation
-	vbuf     []dsl.Violation
+	// vbuf is the violation buffer reused across rows; before holds a
+	// flagged row's codes on arrival, for the changed-cell count.
+	vbuf   []dsl.Violation
+	before []int32
 }
 
 // guardMetrics holds the guard's pre-resolved counter handles; the zero
@@ -142,10 +109,10 @@ type guardMetrics struct {
 	streamChanged *obs.Counter
 }
 
-// NewGuard builds a guard. The program must have been validated against the
-// schema of the relations it will check.
+// NewGuard builds a guard on the AST engine. The program must have been
+// validated against the schema of the relations it will check.
 func NewGuard(prog *dsl.Program, strategy Strategy) *Guard {
-	return &Guard{prog: prog, strategy: strategy}
+	return NewEngine(prog).Guard(strategy)
 }
 
 // Instrument registers the guard's per-strategy counters on reg
@@ -179,89 +146,68 @@ func (g *Guard) WithTrace(sc trace.Scope, every int) *Guard {
 	return g
 }
 
-// Program returns the guarded constraint program.
-func (g *Guard) Program() *dsl.Program { return g.prog }
-
 // Strategy returns the guard's error-handling strategy.
 func (g *Guard) Strategy() Strategy { return g.strategy }
 
-// Engine returns the active execution backend.
-func (g *Guard) Engine() Engine { return g.engine }
+// Engine returns the engine the guard runs on.
+func (g *Guard) Engine() *Engine { return g.eng }
 
-// Validation returns the translation-validation record of the active
-// compiled engine, or nil under EngineAST.
-func (g *Guard) Validation() *compile.Validation { return g.cval }
-
-// Compile lowers the guard's program through the internal/dsl/compile
-// pipeline and, on success, switches the hot path to the compiled engine.
-// On error the guard keeps running on the AST interpreter and the returned
-// Validation (non-nil when compilation got far enough to record proof
-// obligations) says which obligation failed. Compiling with opts.Domains
-// nil is always sound; pass bounded domains only for pinned relations
-// whose dictionaries will not grow (see compile.Options).
+// Compile moves the guard onto a CompileEngine of its program. When
+// translation validation fails the guard keeps its current engine and the
+// error says which obligation failed; the returned Validation is non-nil
+// when compilation got far enough to record proof obligations.
 func (g *Guard) Compile(opts compile.Options) (*compile.Validation, error) {
-	cp, val, err := compile.Compile(g.prog, opts)
-	if err != nil {
-		return val, err
+	eng := CompileEngine(g.eng.prog, opts)
+	if eng.fallback != nil {
+		return eng.val, eng.fallback
 	}
-	g.compiled, g.cval, g.engine = cp, val, EngineCompiled
-	return val, nil
+	g.eng = eng
+	return eng.val, nil
 }
 
-// UseAST switches the guard back to the AST interpreter, keeping any
-// compiled form around for a later re-switch via UseCompiled.
-func (g *Guard) UseAST() { g.engine = EngineAST }
-
-// UseCompiled re-activates a previously compiled engine; it reports false
-// when Compile has not succeeded on this guard.
-func (g *Guard) UseCompiled() bool {
-	if g.compiled == nil {
-		return false
+// Step is the guard's one per-row step: it detects row's violations,
+// applies the strategy to row in place, and counts the cells whose final
+// code differs from their code on arrival. Under Raise a violating row
+// returns an error wrapping ErrViolation and is left untouched. The
+// returned slice is reused by the next Step or CheckRow call.
+func (g *Guard) Step(row []int32) (vs []dsl.Violation, changed int, err error) {
+	g.vbuf = g.eng.Detect(row, g.vbuf)
+	vs = g.vbuf
+	if len(vs) == 0 {
+		return nil, 0, nil
 	}
-	g.engine = EngineCompiled
-	return true
-}
-
-// detect runs the active engine's detection. Under EngineCompiled the
-// returned slice aliases the guard's internal buffer and is valid only
-// until the next CheckRow — callers that retain violations must copy.
-func (g *Guard) detect(row []int32) []dsl.Violation {
-	if g.engine == EngineCompiled {
-		g.vbuf = g.compiled.DetectInto(row, g.vbuf[:0])
-		return g.vbuf
+	switch g.strategy {
+	case Raise:
+		return vs, 0, fmt.Errorf("%w: attribute %d expected code %d, got %d",
+			ErrViolation, vs[0].Attr, vs[0].Expected, vs[0].Actual)
+	case Ignore:
+		return vs, 0, nil
+	case Coerce:
+		g.before = append(g.before[:0], row...)
+		for _, v := range vs {
+			row[v.Attr] = dataset.Missing
+		}
+	case Rectify:
+		g.before = append(g.before[:0], row...)
+		g.eng.Rectify(row)
+	default:
+		return vs, 0, fmt.Errorf("core: unknown strategy %d", g.strategy)
 	}
-	return g.prog.Detect(row)
+	for c, code := range g.before {
+		if row[c] != code {
+			changed++
+		}
+	}
+	return vs, changed, nil
 }
 
 // CheckRow applies the guard to one encoded row, possibly mutating it
 // (Coerce/Rectify). It reports the violations found; under Raise a non-nil
-// error wraps ErrViolation. Under EngineCompiled the returned slice is
-// reused by the next CheckRow call.
+// error wraps ErrViolation. The returned slice is reused by the next
+// CheckRow call.
 func (g *Guard) CheckRow(row []int32) ([]dsl.Violation, error) {
-	vs := g.detect(row)
-	if len(vs) == 0 {
-		return nil, nil
-	}
-	switch g.strategy {
-	case Raise:
-		return vs, fmt.Errorf("%w: attribute %d expected code %d, got %d",
-			ErrViolation, vs[0].Attr, vs[0].Expected, vs[0].Actual)
-	case Ignore:
-		return vs, nil
-	case Coerce:
-		for _, v := range vs {
-			row[v.Attr] = dataset.Missing
-		}
-		return vs, nil
-	case Rectify:
-		if g.engine == EngineCompiled {
-			g.compiled.Rectify(row)
-		} else {
-			g.prog.Rectify(row)
-		}
-		return vs, nil
-	}
-	return vs, fmt.Errorf("core: unknown strategy %d", g.strategy)
+	vs, _, err := g.Step(row)
+	return vs, err
 }
 
 // Report summarizes a relation-level guard pass.
@@ -281,7 +227,7 @@ type Report struct {
 // the violating one.
 func (g *Guard) Apply(rel *dataset.Relation) (*Report, error) {
 	n := rel.NumRows()
-	asp := g.tr.Start("guard.apply").Str("strategy", g.strategy.String()).Str("engine", g.engine.String()).Int("rows", int64(n))
+	asp := g.tr.Start("guard.apply").Str("strategy", g.strategy.String()).Str("engine", g.eng.Backend()).Int("rows", int64(n))
 	defer asp.End()
 	rsc := g.tr.Under(asp)
 	rep := &Report{Flagged: make([]bool, n)}
@@ -294,7 +240,7 @@ func (g *Guard) Apply(rel *dataset.Relation) (*Report, error) {
 		row = rel.Row(i, row)
 		rep.RowsChecked++
 		g.metrics.rowsChecked.Inc()
-		vs, err := g.CheckRow(row)
+		vs, changed, err := g.Step(row)
 		if len(vs) > 0 {
 			rep.RowsFlagged++
 			rep.Flagged[i] = true
@@ -304,17 +250,12 @@ func (g *Guard) Apply(rel *dataset.Relation) (*Report, error) {
 		if err != nil {
 			return rep, fmt.Errorf("row %d: %w", i, err)
 		}
-		if len(vs) == 0 {
-			continue
-		}
-		if g.strategy == Coerce || g.strategy == Rectify {
-			for c := 0; c < rel.NumAttrs(); c++ {
-				if rel.Code(i, c) != row[c] {
-					rel.SetCode(i, c, row[c])
-					rep.CellsChanged++
-					g.metrics.cellsChanged.Inc()
-				}
+		if changed > 0 {
+			for c, code := range row {
+				rel.SetCode(i, c, code)
 			}
+			rep.CellsChanged += changed
+			g.metrics.cellsChanged.Add(int64(changed))
 		}
 	}
 	return rep, nil

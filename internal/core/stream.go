@@ -26,7 +26,7 @@ type StreamStats struct {
 // schema is never modified, so concurrent passes may share it. Under
 // Raise, the first violating row aborts the stream.
 func (g *Guard) StreamCSV(r io.Reader, w io.Writer, schema *dataset.Relation) (*StreamStats, error) {
-	ssp := g.tr.Start("stream.csv").Str("strategy", g.strategy.String()).Str("engine", g.engine.String())
+	ssp := g.tr.Start("stream.csv").Str("strategy", g.strategy.String()).Str("engine", g.eng.Backend())
 	defer ssp.End()
 	rsc := g.tr.Under(ssp)
 	cr, err := dataset.NewReader(r)
@@ -46,7 +46,6 @@ func (g *Guard) StreamCSV(r io.Reader, w io.Writer, schema *dataset.Relation) (*
 
 	stats := &StreamStats{}
 	row := make([]int32, schema.NumAttrs())
-	before := make([]int32, schema.NumAttrs())
 	out := make([]string, len(colOf))
 	for {
 		rec, err := cr.Read()
@@ -63,8 +62,7 @@ func (g *Guard) StreamCSV(r io.Reader, w io.Writer, schema *dataset.Relation) (*
 		for i, v := range rec {
 			row[colOf[i]] = enc.Encode(colOf[i], v)
 		}
-		copy(before, row)
-		vs, err := g.CheckRow(row)
+		vs, changed, err := g.Step(row)
 		if len(vs) > 0 {
 			// Count the violation before a Raise abort: the row was
 			// detected even though it is not written downstream.
@@ -75,11 +73,9 @@ func (g *Guard) StreamCSV(r io.Reader, w io.Writer, schema *dataset.Relation) (*
 		if err != nil {
 			return stats, fmt.Errorf("core: row %d: %w", stats.Rows, err)
 		}
+		stats.Changed += changed
+		g.metrics.streamChanged.Add(int64(changed))
 		for i, a := range colOf {
-			if row[a] != before[a] {
-				stats.Changed++
-				g.metrics.streamChanged.Inc()
-			}
 			out[i] = enc.Decode(a, row[a])
 		}
 		if err := cw.Write(out); err != nil {

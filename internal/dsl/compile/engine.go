@@ -172,7 +172,8 @@ func (p *Prog) DetectInto(row []int32, buf []dsl.Violation) []dsl.Violation {
 
 // Rectify overwrites each violated dependent attribute in place, in
 // statement order against the mutating row — same sequential semantics as
-// dsl.Program.Rectify — and reports how many cells changed.
+// dsl.Program.Rectify — and reports how many assignments it made, which
+// can exceed the number of cells that end up changed.
 func (p *Prog) Rectify(row []int32) int {
 	changed := 0
 	for i := range p.stmts {

@@ -101,7 +101,9 @@ func (p *Program) Detect(row []int32) []Violation {
 }
 
 // Rectify overwrites each violated dependent attribute with the value the
-// matched branch assigns, in place, and reports how many cells changed.
+// matched branch assigns, in place, and reports how many assignments it
+// made. That is not the number of changed cells: two statements on one
+// attribute can each rewrite it and leave the row as it arrived.
 func (p *Program) Rectify(row []int32) int {
 	changed := 0
 	for _, s := range p.Stmts {

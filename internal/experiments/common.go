@@ -55,23 +55,21 @@ type Config struct {
 	// Trace parents every synthesis run's span tree; the zero scope
 	// disables tracing.
 	Trace trace.Scope
-	// Engine selects the guard execution backend for every guard an
-	// experiment builds. EngineCompiled lowers each synthesized program
-	// through internal/dsl/compile (open universe); a guard whose
-	// translation validation fails silently keeps the AST interpreter, so
-	// results are engine-independent by construction.
-	Engine core.Engine
+	// Engine builds every guard's engine (see core.EngineNamed); nil is
+	// the AST. Results are engine-independent by construction.
+	Engine func(*dsl.Program, compile.Options) *core.Engine
 }
 
 // newGuard builds a guard for prog on the configured engine.
 func (c Config) newGuard(prog *dsl.Program, strategy core.Strategy) *core.Guard {
-	g := core.NewGuard(prog, strategy)
-	if c.Engine == core.EngineCompiled {
-		if _, err := g.Compile(compile.Options{Obs: c.Obs, Trace: c.Trace}); err != nil && c.Obs != nil {
-			c.Obs.Counter("experiments.guard_compile_failed").Inc()
-		}
+	if c.Engine == nil {
+		return core.NewGuard(prog, strategy)
 	}
-	return g
+	eng := c.Engine(prog, compile.Options{Obs: c.Obs, Trace: c.Trace})
+	if eng.Fallback() != nil && c.Obs != nil {
+		c.Obs.Counter("experiments.guard_compile_failed").Inc()
+	}
+	return eng.Guard(strategy)
 }
 
 func (c Config) alphaOrDefault() float64 {

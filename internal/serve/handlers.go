@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strings"
 
+	"github.com/guardrail-db/guardrail/internal/core"
 	"github.com/guardrail-db/guardrail/internal/dataset"
 	"github.com/guardrail-db/guardrail/internal/dsl"
 	"github.com/guardrail-db/guardrail/internal/obs/debug"
@@ -52,6 +53,16 @@ type batchSummary struct {
 	Flagged    int `json:"flagged"`
 	Violations int `json:"violations"`
 	Changed    int `json:"changed"`
+}
+
+// add tallies one row's verdict.
+func (sum *batchSummary) add(v verdict) {
+	sum.Rows++
+	if v.Flagged {
+		sum.Flagged++
+	}
+	sum.Violations += len(v.Violations)
+	sum.Changed += v.Changed
 }
 
 // singleResponse is the /v1/check and /v1/rectify single-row JSON body.
@@ -116,11 +127,11 @@ func (s *Server) resolveEntry(w http.ResponseWriter, r *http.Request) (*Entry, b
 	return e, true
 }
 
-// handleValidate is the shared core of /v1/check and /v1/rectify. The
-// entry is resolved once and used for the whole request, so every row of
-// a batch is validated by the same program version even if a hot reload
-// lands mid-stream.
-func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request, rc *reqInfo, rectify bool) {
+// handleValidate is the shared core of /v1/check (strategy Ignore) and
+// /v1/rectify (Rectify). The entry is resolved once and used for the whole
+// request, so every row of a batch is validated by the same program
+// version even if a hot reload lands mid-stream.
+func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request, rc *reqInfo, strategy core.Strategy) {
 	// Record the requested dataset before resolution, so a 404's log
 	// entry still says what the client asked for.
 	rc.dataset = r.URL.Query().Get("dataset")
@@ -128,10 +139,11 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request, rc *reqI
 	if !ok {
 		return
 	}
-	rc.dataset, rc.fingerprint, rc.engine = e.Name, e.FingerprintHex(), e.EngineName()
+	rc.dataset, rc.fingerprint, rc.engine = e.Name, e.FingerprintHex(), e.Backend()
 	w.Header().Set(fingerprintHeader, e.FingerprintHex())
-	w.Header().Set(engineHeader, e.EngineName())
+	w.Header().Set(engineHeader, e.Backend())
 	rc.Scope.EventStr("serve.program", "fingerprint", e.FingerprintHex())
+	g := e.Guard(strategy)
 
 	ct := r.Header.Get("Content-Type")
 	if mt, _, err := mime.ParseMediaType(ct); err == nil {
@@ -139,17 +151,17 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request, rc *reqI
 	}
 	switch ct {
 	case "application/x-ndjson", "application/ndjson", "application/jsonlines":
-		s.streamNDJSON(w, r, e, rc, rectify)
+		s.streamNDJSON(w, r, e, g, rc)
 	case "text/csv":
-		s.streamCSV(w, r, e, rc, rectify)
+		s.streamCSV(w, r, e, g, rc)
 	default:
-		s.singleJSON(w, r, e, rc, rectify)
+		s.singleJSON(w, r, e, g, rc)
 	}
 }
 
 // singleJSON validates one row sent as a JSON object keyed by attribute
 // name. The body is size-limited by Config.MaxBody.
-func (s *Server) singleJSON(w http.ResponseWriter, r *http.Request, e *Entry, rc *reqInfo, rectify bool) {
+func (s *Server) singleJSON(w http.ResponseWriter, r *http.Request, e *Entry, g *core.Guard, rc *reqInfo) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.maxBody())
 	var row map[string]string
 	if err := json.NewDecoder(body).Decode(&row); err != nil {
@@ -168,19 +180,16 @@ func (s *Server) singleJSON(w http.ResponseWriter, r *http.Request, e *Entry, rc
 		writeJSONError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.observeDrift(e, buf.raw)
-	vs := e.Detect(buf.codes, nil)
+	v := s.checkOne(e, g, buf, rc, 0)
 	resp := singleResponse{
 		Dataset:     e.Name,
 		Fingerprint: e.FingerprintHex(),
-		Engine:      e.EngineName(),
-		Flagged:     len(vs) > 0,
-		Violations:  s.decodeViolations(e, vs, buf.enc),
+		Engine:      e.Backend(),
+		Flagged:     v.Flagged,
+		Violations:  v.Violations,
+		Changed:     v.Changed,
 	}
-	s.countRow(rc, resp.Flagged)
-	if rectify {
-		resp.Changed = e.RectifyRow(buf.codes)
-		s.metrics.cellsChanged.Add(int64(resp.Changed))
+	if g.Strategy() == core.Rectify {
 		resp.Row = buf.decodeMap(e.Schema)
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -211,7 +220,7 @@ func (s *Server) countRow(rc *reqInfo, flagged bool) {
 // writing one verdict line per row and a final {"summary": ...} line.
 // Rows are processed in constant memory as they arrive; the body is not
 // size-limited.
-func (s *Server) streamNDJSON(w http.ResponseWriter, r *http.Request, e *Entry, rc *reqInfo, rectify bool) {
+func (s *Server) streamNDJSON(w http.ResponseWriter, r *http.Request, e *Entry, g *core.Guard, rc *reqInfo) {
 	// HTTP/1.x is half-duplex by default: after the first response write
 	// the server closes the request body, which would kill a batch whose
 	// rows aren't fully buffered before the first verdict flushes.
@@ -223,7 +232,6 @@ func (s *Server) streamNDJSON(w http.ResponseWriter, r *http.Request, e *Entry, 
 	dec := json.NewDecoder(r.Body)
 	enc := json.NewEncoder(w)
 	buf := newRowBuf(e.Schema)
-	var vbuf []dsl.Violation
 	var sum batchSummary
 	for i := 0; ; i++ {
 		var row map[string]string
@@ -239,16 +247,11 @@ func (s *Server) streamNDJSON(w http.ResponseWriter, r *http.Request, e *Entry, 
 			_ = enc.Encode(verdict{Row: i, Violations: []apiViolation{}, Error: err.Error()})
 			break
 		}
-		v := s.checkOne(e, buf, &vbuf, rc, rectify, i)
-		if rectify {
+		v := s.checkOne(e, g, buf, rc, i)
+		if g.Strategy() == core.Rectify {
 			v.Values = buf.decodeMap(e.Schema)
 		}
-		sum.Rows++
-		if v.Flagged {
-			sum.Flagged++
-		}
-		sum.Violations += len(v.Violations)
-		sum.Changed += v.Changed
+		sum.add(v)
 		_ = enc.Encode(v)
 		_ = ctrl.Flush()
 	}
@@ -261,7 +264,8 @@ func (s *Server) streamNDJSON(w http.ResponseWriter, r *http.Request, e *Entry, 
 // order covering the schema). Check responses are NDJSON verdict lines
 // like streamNDJSON; rectify responses are the repaired CSV — the
 // streaming twin of `guardrail rectify -out`.
-func (s *Server) streamCSV(w http.ResponseWriter, r *http.Request, e *Entry, rc *reqInfo, rectify bool) {
+func (s *Server) streamCSV(w http.ResponseWriter, r *http.Request, e *Entry, g *core.Guard, rc *reqInfo) {
+	rectify := g.Strategy() == core.Rectify
 	ctrl := http.NewResponseController(w)
 	_ = ctrl.EnableFullDuplex() // see streamNDJSON
 	buf := newRowBuf(e.Schema)
@@ -293,7 +297,6 @@ func (s *Server) streamCSV(w http.ResponseWriter, r *http.Request, e *Entry, rc 
 	}
 
 	out := make([]string, len(colOf))
-	var vbuf []dsl.Violation
 	var sum batchSummary
 	for i := 0; ; i++ {
 		rec, err := cr.Read()
@@ -314,13 +317,8 @@ func (s *Server) streamCSV(w http.ResponseWriter, r *http.Request, e *Entry, rc 
 			break
 		}
 		buf.setFromRecord(colOf, rec)
-		v := s.checkOne(e, buf, &vbuf, rc, rectify, i)
-		sum.Rows++
-		if v.Flagged {
-			sum.Flagged++
-		}
-		sum.Violations += len(v.Violations)
-		sum.Changed += v.Changed
+		v := s.checkOne(e, g, buf, rc, i)
+		sum.add(v)
 		if rectify {
 			for c, a := range colOf {
 				out[c] = buf.enc.Decode(a, buf.codes[a])
@@ -342,17 +340,15 @@ func (s *Server) streamCSV(w http.ResponseWriter, r *http.Request, e *Entry, rc 
 	}{sum})
 }
 
-// checkOne detects (and under rectify repairs) the row in buf, updating
-// the serve.* row counters and the request's row tallies.
-func (s *Server) checkOne(e *Entry, buf *rowBuf, vbuf *[]dsl.Violation, rc *reqInfo, rectify bool, i int) verdict {
+// checkOne runs the row in buf through the request's guard (Ignore for
+// check, Rectify for rectify, which repairs buf in place), updating the
+// serve.* row counters and the request's row tallies.
+func (s *Server) checkOne(e *Entry, g *core.Guard, buf *rowBuf, rc *reqInfo, i int) verdict {
 	s.observeDrift(e, buf.raw)
-	*vbuf = e.Detect(buf.codes, *vbuf)
-	v := verdict{Row: i, Flagged: len(*vbuf) > 0, Violations: s.decodeViolations(e, *vbuf, buf.enc)}
+	vs, changed, _ := g.Step(buf.codes) // only Raise errors
+	v := verdict{Row: i, Flagged: len(vs) > 0, Violations: s.decodeViolations(e, vs, buf.enc), Changed: changed}
 	s.countRow(rc, v.Flagged)
-	if rectify {
-		v.Changed = e.RectifyRow(buf.codes)
-		s.metrics.cellsChanged.Add(int64(v.Changed))
-	}
+	s.metrics.cellsChanged.Add(int64(changed))
 	return v
 }
 
@@ -387,16 +383,19 @@ type programInfo struct {
 }
 
 func infoOf(e *Entry) programInfo {
-	return programInfo{
+	info := programInfo{
 		Name:        e.Name,
 		Fingerprint: e.FingerprintHex(),
-		Engine:      e.EngineName(),
-		Statements:  len(e.Program.Stmts),
+		Engine:      e.Backend(),
+		Statements:  len(e.Program().Stmts),
 		Attrs:       e.Schema.NumAttrs(),
 		Version:     e.Version,
 		LoadedAt:    e.LoadedAt.UTC().Format("2006-01-02T15:04:05.000Z"),
-		CompileErr:  e.CompileErr,
 	}
+	if err := e.Fallback(); err != nil {
+		info.CompileErr = err.Error()
+	}
+	return info
 }
 
 func (s *Server) handleProgramList(w http.ResponseWriter, _ *http.Request, _ *reqInfo) {
@@ -421,7 +420,7 @@ func (s *Server) handleProgramGet(w http.ResponseWriter, r *http.Request, _ *req
 		programInfo
 		Program string   `json:"program"`
 		Schema  []string `json:"schema"`
-	}{infoOf(e), dsl.Format(e.Program, e.Schema), e.Schema.Attrs()})
+	}{infoOf(e), dsl.Format(e.Program(), e.Schema), e.Schema.Attrs()})
 }
 
 // handleProgramPut hot-reloads a program: the body carries the schema CSV
@@ -456,7 +455,7 @@ func (s *Server) handleProgramPut(w http.ResponseWriter, r *http.Request, rc *re
 		writeJSONError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
-	rc.fingerprint, rc.engine = e.FingerprintHex(), e.EngineName()
+	rc.fingerprint, rc.engine = e.FingerprintHex(), e.Backend()
 	rc.Scope.EventStr("serve.reload", "fingerprint", e.FingerprintHex())
 	w.Header().Set(fingerprintHeader, e.FingerprintHex())
 	writeJSON(w, http.StatusOK, struct {

@@ -24,6 +24,11 @@
 //     requests with a deadline, so a rolling restart never drops a row
 //     mid-validation.
 //
+// Rows run through the same guard runtime as the offline verbs: each
+// Entry embeds an immutable core.Engine, and each request builds its own
+// core.Guard on it, so verdicts and changed-cell counts match `guardrail
+// check`/`rectify` on the same rows.
+//
 // Like the rest of the pipeline, serving is observable for free: per-
 // endpoint latency histograms and request/row/violation counters land on
 // the shared internal/obs registry, which the Prometheus /metrics
@@ -40,6 +45,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/guardrail-db/guardrail/internal/core"
 	"github.com/guardrail-db/guardrail/internal/dataset"
 	"github.com/guardrail-db/guardrail/internal/dsl"
 	"github.com/guardrail-db/guardrail/internal/dsl/analysis"
@@ -55,14 +61,10 @@ import (
 type Entry struct {
 	// Name is the dataset name the entry is registered under.
 	Name string
-	// Program is the parsed AST — always present, and the execution
-	// engine when compilation failed (the fail-closed contract: a guard
-	// never goes un-enforced because the optimizer could not prove its
-	// rewrite).
-	Program *dsl.Program
-	// Compiled is the translation-validated engine, nil on compile
-	// failure.
-	Compiled *compile.Prog
+	// Engine runs the program: compiled once per version, or on the AST
+	// with the reason in Fallback when translation validation failed.
+	// Each request builds its own Guard on it.
+	*core.Engine
 	// Schema is the relation the program was parsed against; its
 	// dictionaries decode response values and encode request rows.
 	Schema *dataset.Relation
@@ -73,9 +75,6 @@ type Entry struct {
 	// string level — code-level canon alone could collide across
 	// different dictionary encodings.
 	Fingerprint uint64
-	// CompileErr records why compilation fell back to the AST ("" when
-	// compiled).
-	CompileErr string
 	// LoadedAt is when this version was swapped in.
 	LoadedAt time.Time
 	// Version counts swaps of this name, starting at 1. No-op reloads do
@@ -87,39 +86,9 @@ type Entry struct {
 // in response headers and the programs API.
 func (e *Entry) FingerprintHex() string { return fmt.Sprintf("%016x", e.Fingerprint) }
 
-// EngineName reports which engine serves this entry's rows.
-func (e *Entry) EngineName() string {
-	if e.Compiled != nil {
-		return "compiled"
-	}
-	return "ast"
-}
-
-// Detect appends row's violations to buf[:0] and returns it, using the
-// compiled engine when available. Safe for concurrent use: the engines
-// are immutable and buf is caller-owned.
-func (e *Entry) Detect(row []int32, buf []dsl.Violation) []dsl.Violation {
-	if e.Compiled != nil {
-		return e.Compiled.DetectInto(row, buf[:0])
-	}
-	return append(buf[:0], e.Program.Detect(row)...)
-}
-
-// RectifyRow overwrites each violated dependent attribute in place and
-// reports how many cells changed.
-func (e *Entry) RectifyRow(row []int32) int {
-	if e.Compiled != nil {
-		return e.Compiled.Rectify(row)
-	}
-	return e.Program.Rectify(row)
-}
-
-// compileFn lowers a parsed program to the compiled engine. It is a
-// variable so registry tests can force the AST fallback path without
-// having to construct a program the optimizer genuinely cannot prove.
-var compileFn = func(p *dsl.Program, opts compile.Options) (*compile.Prog, *compile.Validation, error) {
-	return compile.Compile(p, opts)
-}
+// newEngine builds an entry's engine. It is a variable so registry tests
+// can force the AST fallback path.
+var newEngine = core.CompileEngine
 
 // Registry maps dataset names to their live program entries. Reads are a
 // single atomic load of a copy-on-write map — the request hot path takes
@@ -208,9 +177,12 @@ func (r *Registry) Load(name string, schemaCSV, progSrc []byte) (e *Entry, chang
 		return old, false, nil
 	}
 
+	// Compile once per version over the open universe: request rows may
+	// carry values the schema never interned, which is exactly the
+	// grown-code regime the open-universe engine handles.
 	entry := &Entry{
 		Name:        name,
-		Program:     prog,
+		Engine:      newEngine(prog, compile.Options{Obs: r.obs}),
 		Schema:      rel,
 		Fingerprint: fp,
 		LoadedAt:    r.clock(),
@@ -219,14 +191,8 @@ func (r *Registry) Load(name string, schemaCSV, progSrc []byte) (e *Entry, chang
 	if old != nil {
 		entry.Version = old.Version + 1
 	}
-	// Compile once per version over the open universe: request rows may
-	// carry values the schema never interned, which is exactly the
-	// grown-code regime the open-universe engine handles.
-	if cp, _, cerr := compileFn(prog, compile.Options{Obs: r.obs}); cerr != nil {
-		entry.CompileErr = cerr.Error()
+	if entry.Fallback() != nil {
 		r.fallbacks.Inc()
-	} else {
-		entry.Compiled = cp
 	}
 	r.swap(func(m map[string]*Entry) { m[name] = entry })
 	r.reloads.Inc()

@@ -1,10 +1,10 @@
 package serve
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
+	"github.com/guardrail-db/guardrail/internal/core"
 	"github.com/guardrail-db/guardrail/internal/dsl"
 	"github.com/guardrail-db/guardrail/internal/dsl/compile"
 	"github.com/guardrail-db/guardrail/internal/obs"
@@ -21,11 +21,11 @@ func TestLoadAndGet(t *testing.T) {
 	if !changed {
 		t.Error("first load reported changed=false")
 	}
-	if e.Version != 1 || e.Fingerprint == 0 || e.CompileErr != "" {
-		t.Errorf("entry = version %d fingerprint %d compileErr %q", e.Version, e.Fingerprint, e.CompileErr)
+	if e.Version != 1 || e.Fingerprint == 0 || e.Fallback() != nil {
+		t.Errorf("entry = version %d fingerprint %d fallback %v", e.Version, e.Fingerprint, e.Fallback())
 	}
-	if e.EngineName() != "compiled" || e.Compiled == nil {
-		t.Errorf("engine = %s, want compiled", e.EngineName())
+	if e.Backend() != "compiled" {
+		t.Errorf("engine = %s, want compiled", e.Backend())
 	}
 	got, ok := r.Get("postal")
 	if !ok || got != e {
@@ -140,11 +140,14 @@ func TestDictCollisionChangesFingerprint(t *testing.T) {
 // AST (fail-closed — the guard is never dropped), records why, and bumps
 // serve.compile_fallbacks.
 func TestCompileFallback(t *testing.T) {
-	orig := compileFn
-	compileFn = func(*dsl.Program, compile.Options) (*compile.Prog, *compile.Validation, error) {
-		return nil, nil, errors.New("forced compile failure")
+	// Append a statement the interpreter runs (its condition matches no
+	// real code) but the compiler rejects: a value below the code space.
+	orig := newEngine
+	newEngine = func(p *dsl.Program, opts compile.Options) *core.Engine {
+		bad := dsl.Statement{On: 0, Branches: []dsl.Branch{{Cond: dsl.Condition{{Attr: 0, Value: -5}}, Value: -2}}}
+		return core.CompileEngine(&dsl.Program{Stmts: append(append([]dsl.Statement{}, p.Stmts...), bad)}, opts)
 	}
-	defer func() { compileFn = orig }()
+	defer func() { newEngine = orig }()
 
 	reg := obs.New()
 	r := NewRegistry(reg)
@@ -152,11 +155,11 @@ func TestCompileFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.EngineName() != "ast" || e.Compiled != nil {
-		t.Errorf("engine = %s, want ast fallback", e.EngineName())
+	if e.Backend() != "ast" {
+		t.Errorf("engine = %s, want ast fallback", e.Backend())
 	}
-	if !strings.Contains(e.CompileErr, "forced compile failure") {
-		t.Errorf("CompileErr = %q", e.CompileErr)
+	if err := e.Fallback(); err == nil || !strings.Contains(err.Error(), "below the code space") {
+		t.Errorf("Fallback = %v", err)
 	}
 	if n := reg.Snapshot().Counters["serve.compile_fallbacks"]; n != 1 {
 		t.Errorf("serve.compile_fallbacks = %d, want 1", n)
@@ -224,8 +227,8 @@ func TestLoadFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !changed || e.EngineName() != "compiled" {
-		t.Errorf("changed=%v engine=%s", changed, e.EngineName())
+	if !changed || e.Backend() != "compiled" {
+		t.Errorf("changed=%v engine=%s", changed, e.Backend())
 	}
 	if _, _, err := r.LoadFiles("postal", "no-such.csv", "no-such.gr"); err == nil {
 		t.Error("missing files loaded without error")

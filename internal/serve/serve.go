@@ -13,6 +13,7 @@ import (
 	"syscall"
 	"time"
 
+	"github.com/guardrail-db/guardrail/internal/core"
 	"github.com/guardrail-db/guardrail/internal/obs"
 	"github.com/guardrail-db/guardrail/internal/obs/trace"
 )
@@ -171,9 +172,9 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /debug/flight", s.handleFlight)
 	s.mux.Handle("POST /v1/check", s.gated("check", s.metrics.histCheck,
-		func(w http.ResponseWriter, r *http.Request, rc *reqInfo) { s.handleValidate(w, r, rc, false) }))
+		func(w http.ResponseWriter, r *http.Request, rc *reqInfo) { s.handleValidate(w, r, rc, core.Ignore) }))
 	s.mux.Handle("POST /v1/rectify", s.gated("rectify", s.metrics.histRectify,
-		func(w http.ResponseWriter, r *http.Request, rc *reqInfo) { s.handleValidate(w, r, rc, true) }))
+		func(w http.ResponseWriter, r *http.Request, rc *reqInfo) { s.handleValidate(w, r, rc, core.Rectify) }))
 	s.mux.Handle("GET /v1/drift", s.gated("drift", s.metrics.histDrift, s.handleDrift))
 	s.mux.Handle("GET /v1/programs", s.gated("programs", s.metrics.histPrograms, s.handleProgramList))
 	s.mux.Handle("GET /v1/programs/{name}", s.gated("programs", s.metrics.histPrograms, s.handleProgramGet))

@@ -299,6 +299,108 @@ func TestCSVRectifyMatchesStreamCSV(t *testing.T) {
 	}
 }
 
+// TestChangedMatchesApply: with two statements on one attribute, a row
+// can be rewritten twice and come back as it arrived. The changed counts
+// of every request form, the batch summaries and serve.cells_changed all
+// count cells whose final value differs, exactly as core.Guard.Apply's
+// CellsChanged does on the same rows.
+func TestChangedMatchesApply(t *testing.T) {
+	const schemaCSV = "a,b,c\n0,0,1\n0,0,0\n1,1,1\n1,0,0\n"
+	const prog = "GIVEN a ON b HAVING IF a = \"0\" THEN b <- \"1\";\nGIVEN c ON b HAVING IF c = \"1\" THEN b <- \"0\";\n"
+	reg := obs.New()
+	r := NewRegistry(reg)
+	if _, _, err := r.Load("two", []byte(schemaCSV), []byte(prog)); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(Config{Registry: r, Obs: reg}).Handler())
+	defer ts.Close()
+
+	// applyReport runs the offline guard over the schema rows in rows.
+	applyReport := func(strategy core.Strategy, rows ...int) *core.Report {
+		t.Helper()
+		rel, err := dataset.FromCSV(strings.NewReader(schemaCSV), "two")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := dsl.Parse(prog, rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := core.NewGuard(p, strategy).Apply(rel.SelectRows(rows))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	post := func(endpoint, contentType, body string) []string {
+		t.Helper()
+		resp, err := http.Post(ts.URL+endpoint+"?dataset=two", contentType, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := io.ReadAll(resp.Body)
+		if cerr := resp.Body.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, %v\n%s", endpoint, resp.StatusCode, err, b)
+		}
+		return strings.Split(strings.TrimSpace(string(b)), "\n")
+	}
+	summaryOf := func(line string) batchSummary {
+		t.Helper()
+		var sum struct {
+			Summary batchSummary `json:"summary"`
+		}
+		if err := json.Unmarshal([]byte(line), &sum); err != nil {
+			t.Fatalf("summary line: %v\n%s", err, line)
+		}
+		return sum.Summary
+	}
+
+	rows := []string{`{"a":"0","b":"0","c":"1"}`, `{"a":"0","b":"0","c":"0"}`, `{"a":"1","b":"1","c":"1"}`, `{"a":"1","b":"0","c":"0"}`}
+	wantChanged := []int{0, 1, 1, 0}
+	total := 0
+	for i, row := range rows {
+		var out singleResponse
+		if err := json.Unmarshal([]byte(strings.Join(post("/v1/rectify", "application/json", row), "\n")), &out); err != nil {
+			t.Fatal(err)
+		}
+		if want := applyReport(core.Rectify, i).CellsChanged; out.Changed != want || want != wantChanged[i] {
+			t.Errorf("single row %s: changed %d, Apply %d, want %d", row, out.Changed, want, wantChanged[i])
+		}
+		total += out.Changed
+	}
+
+	lines := post("/v1/rectify", "application/x-ndjson", strings.Join(rows, "\n")+"\n")
+	for i, line := range lines[:len(lines)-1] {
+		var v verdict
+		if err := json.Unmarshal([]byte(line), &v); err != nil {
+			t.Fatal(err)
+		}
+		if v.Changed != wantChanged[i] {
+			t.Errorf("ndjson row %d: changed %d, want %d", i, v.Changed, wantChanged[i])
+		}
+		total += v.Changed
+	}
+	rectified := applyReport(core.Rectify, 0, 1, 2, 3)
+	want := batchSummary{Rows: 4, Flagged: rectified.RowsFlagged, Violations: 3, Changed: rectified.CellsChanged}
+	if got := summaryOf(lines[len(lines)-1]); got != want || want.Changed != 2 {
+		t.Errorf("ndjson rectify summary = %+v, want %+v", got, want)
+	}
+
+	lines = post("/v1/check", "text/csv", schemaCSV)
+	checked := applyReport(core.Ignore, 0, 1, 2, 3)
+	want = batchSummary{Rows: 4, Flagged: checked.RowsFlagged, Violations: 3, Changed: checked.CellsChanged}
+	if got := summaryOf(lines[len(lines)-1]); got != want {
+		t.Errorf("csv check summary = %+v, want %+v", got, want)
+	}
+
+	if n := reg.Snapshot().Counters["serve.cells_changed"]; n != int64(total) || total != 4 {
+		t.Errorf("serve.cells_changed = %d, responses reported %d, want 4", n, total)
+	}
+}
+
 // TestCSVRectifyMalformedRowTrailer: a malformed row in a CSV rectify
 // body arrives after earlier rows went out under a 200, so the response
 // ends there and names the failure in the X-Guardrail-Error trailer; a

@@ -379,7 +379,7 @@ func (ex *executor) run(q *Query) (*Result, error) {
 		// universe (nil domains) keeps the compiled form sound for values
 		// the guard has never seen; on validation failure the interpreter
 		// keeps serving the scan.
-		if n >= guardJITRows && ex.env.Guard.Engine() == core.EngineAST && !ex.env.Guard.UseCompiled() {
+		if n >= guardJITRows && ex.env.Guard.Engine().Backend() == "ast" {
 			if _, err := ex.env.Guard.Compile(compile.Options{Obs: reg, Trace: tsc}); err != nil {
 				reg.Counter("sql.guard_jit_failed").Inc()
 			} else {
@@ -387,9 +387,9 @@ func (ex *executor) run(q *Query) (*Result, error) {
 			}
 		}
 		t0 := time.Now()
-		gsp := tsc.Start("sql.guard").Str("engine", ex.env.Guard.Engine().String())
+		gsp := tsc.Start("sql.guard").Str("engine", ex.env.Guard.Engine().Backend())
 		for i := 0; i < n; i++ {
-			if _, err := ex.env.Guard.CheckRow(ex.row(i)); err != nil {
+			if _, _, err := ex.env.Guard.Step(ex.row(i)); err != nil {
 				gsp.End()
 				return nil, fmt.Errorf("sqlexec: guard: %w", err)
 			}

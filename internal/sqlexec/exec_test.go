@@ -360,9 +360,9 @@ func TestGuardJIT(t *testing.T) {
 		if got := res.Rows[0][0].Num; got != float64(tc.rows) {
 			t.Errorf("%d rows: COUNT(*) = %g", tc.rows, got)
 		}
-		wantJIT, wantEngine := int64(0), core.EngineAST
+		wantJIT, wantEngine := int64(0), "ast"
 		if tc.jit {
-			wantJIT, wantEngine = 1, core.EngineCompiled
+			wantJIT, wantEngine = 1, "compiled"
 		}
 		if got := reg.Counter("sql.guard_jit").Value(); got != wantJIT {
 			t.Errorf("%d rows: sql.guard_jit = %d, want %d", tc.rows, got, wantJIT)
@@ -370,8 +370,8 @@ func TestGuardJIT(t *testing.T) {
 		if got := reg.Counter("sql.guard_jit_failed").Value(); got != 0 {
 			t.Errorf("%d rows: sql.guard_jit_failed = %d, want 0", tc.rows, got)
 		}
-		if guard.Engine() != wantEngine {
-			t.Errorf("%d rows: guard engine %v, want %v", tc.rows, guard.Engine(), wantEngine)
+		if got := guard.Engine().Backend(); got != wantEngine {
+			t.Errorf("%d rows: guard engine %s, want %s", tc.rows, got, wantEngine)
 		}
 	}
 }
