@@ -54,99 +54,6 @@ func sortedKeys(m map[int]bool) []int {
 	return out
 }
 
-// Simplify returns a semantically equivalent program with redundancy
-// removed:
-//
-//   - duplicate branches (same condition and value) within a statement
-//     collapse to one;
-//   - branches whose condition duplicates an earlier branch's condition
-//     are unreachable (the first match wins) and are dropped;
-//   - statements with identical (GIVEN, ON) clauses merge;
-//   - statements left with no branches are dropped.
-//
-// Equivalence holds because Eval/Detect/Rectify all use first-match branch
-// semantics within a statement and apply statements independently.
-func Simplify(p *Program) *Program {
-	merged := map[string]*Statement{}
-	var order []string
-	for _, s := range p.Stmts {
-		key := stmtKey(s)
-		if existing, ok := merged[key]; ok {
-			existing.Branches = append(existing.Branches, s.Branches...)
-			continue
-		}
-		cp := Statement{
-			Given:    append([]int(nil), s.Given...),
-			On:       s.On,
-			Branches: append([]Branch(nil), s.Branches...),
-		}
-		merged[key] = &cp
-		order = append(order, key)
-	}
-	out := &Program{}
-	for _, key := range order {
-		s := merged[key]
-		seenCond := map[string]bool{}
-		var kept []Branch
-		for _, b := range s.Branches {
-			ck := condKey(b.Cond)
-			if seenCond[ck] {
-				continue // unreachable: an earlier branch owns this condition
-			}
-			seenCond[ck] = true
-			kept = append(kept, b)
-		}
-		if len(kept) == 0 {
-			continue
-		}
-		out.Stmts = append(out.Stmts, Statement{Given: s.Given, On: s.On, Branches: kept})
-	}
-	return out
-}
-
-func stmtKey(s Statement) string {
-	g := append([]int(nil), s.Given...)
-	sort.Ints(g)
-	key := make([]byte, 0, 4*(len(g)+1))
-	for _, a := range g {
-		key = appendInt(key, a)
-		key = append(key, ',')
-	}
-	key = append(key, '>')
-	return string(appendInt(key, s.On))
-}
-
-func condKey(c Condition) string {
-	sorted := append(Condition(nil), c...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Attr < sorted[j].Attr })
-	key := make([]byte, 0, 8*len(sorted))
-	for _, p := range sorted {
-		key = appendInt(key, p.Attr)
-		key = append(key, '=')
-		key = appendInt(key, int(p.Value))
-		key = append(key, ';')
-	}
-	return string(key)
-}
-
-func appendInt(b []byte, v int) []byte {
-	if v < 0 {
-		b = append(b, '-')
-		v = -v
-	}
-	var digits [12]byte
-	i := len(digits)
-	for {
-		i--
-		digits[i] = byte('0' + v%10)
-		v /= 10
-		if v == 0 {
-			break
-		}
-	}
-	return append(b, digits[i:]...)
-}
-
 // Equivalent reports whether two programs behave identically on every row
 // of rel: the same violation verdict per row (duplicate statements fire
 // duplicate violations, so counts are not compared) and the same rectified

@@ -27,48 +27,6 @@ func TestAnalyze(t *testing.T) {
 	}
 }
 
-func TestSimplifyMergesAndDedupes(t *testing.T) {
-	rel := zipRel(t)
-	p := zipProgram(t, rel)
-	// Duplicate the statement, duplicate a branch, and add an unreachable
-	// branch with the same condition but a different value.
-	dup := p.Stmts[0]
-	dup.Branches = append(append([]Branch(nil), dup.Branches...),
-		dup.Branches[0], // exact duplicate
-		Branch{Cond: dup.Branches[0].Cond, Value: dup.Branches[1].Value}, // unreachable
-	)
-	messy := &Program{Stmts: []Statement{p.Stmts[0], dup}}
-	clean := Simplify(messy)
-	if len(clean.Stmts) != 1 {
-		t.Fatalf("statements = %d, want 1", len(clean.Stmts))
-	}
-	if len(clean.Stmts[0].Branches) != 3 {
-		t.Fatalf("branches = %d, want 3", len(clean.Stmts[0].Branches))
-	}
-	if !Equivalent(messy, clean, rel) {
-		t.Fatal("simplified program not equivalent")
-	}
-}
-
-func TestSimplifyDropsEmptyStatements(t *testing.T) {
-	p := &Program{Stmts: []Statement{{Given: []int{0}, On: 1}}}
-	if got := Simplify(p); len(got.Stmts) != 0 {
-		t.Fatalf("empty statement kept: %+v", got)
-	}
-}
-
-func TestSimplifyGivenOrderInsensitive(t *testing.T) {
-	a := Statement{Given: []int{0, 2}, On: 1, Branches: []Branch{{Cond: Condition{{0, 0}, {2, 0}}, Value: 0}}}
-	b := Statement{Given: []int{2, 0}, On: 1, Branches: []Branch{{Cond: Condition{{2, 1}, {0, 1}}, Value: 1}}}
-	p := Simplify(&Program{Stmts: []Statement{a, b}})
-	if len(p.Stmts) != 1 {
-		t.Fatalf("reordered GIVEN not merged: %d statements", len(p.Stmts))
-	}
-	if len(p.Stmts[0].Branches) != 2 {
-		t.Fatalf("branches = %d", len(p.Stmts[0].Branches))
-	}
-}
-
 func TestEquivalentDetectsDifferences(t *testing.T) {
 	rel := zipRel(t)
 	p := zipProgram(t, rel)

@@ -3,19 +3,26 @@ package stats
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
+
+// Shape is what a test needs to know about its variables: how many there
+// are and each one's cardinality.
+type Shape interface {
+	// NumVars reports the number of variables.
+	NumVars() int
+	// Card reports the cardinality (number of categories) of variable i.
+	Card(i int) int
+}
 
 // Data exposes a discrete dataset to the independence tests: a fixed number
 // of variables, each a column of small non-negative integer codes (negative
 // codes are treated as a distinct "missing" category).
 type Data interface {
-	// NumVars reports the number of variables.
-	NumVars() int
+	Shape
 	// N reports the number of rows.
 	N() int
-	// Card reports the cardinality (number of categories) of variable i.
-	Card(i int) int
 	// Codes returns variable i's column; implementations may return an
 	// internal slice that the caller must not mutate.
 	Codes(i int) []int32
@@ -48,23 +55,15 @@ func catOf(code int32, card int) int {
 	return int(code)
 }
 
-// CatOf is catOf for callers outside the package (internal/stats/incr
-// builds the same strata from merged tables and must categorize codes
-// identically for the windowed-vs-batch identity to be bit-exact).
-func CatOf(code int32, card int) int { return catOf(code, card) }
-
 // CITester runs conditional-independence tests over some representation
 // of a dataset's sufficient statistics. Data-backed callers get one via
 // Tester; internal/stats/incr implements it directly over merged
 // windowed contingency tables, which is what lets PC re-learn from a
 // sliding window without rescanning rows.
 type CITester interface {
-	// NumVars reports the number of variables.
-	NumVars() int
+	Shape
 	// N reports the number of observations behind the statistics.
 	N() int
-	// Card reports the cardinality (number of categories) of variable i.
-	Card(i int) int
 	// Test computes the G² independence test of x and y given z.
 	Test(x, y int, z []int) (TestResult, error)
 }
@@ -87,86 +86,143 @@ func (t columnTester) Test(x, y int, z []int) (TestResult, error) {
 // per-stratum observed margins). This is the test Guardrail's sketch
 // learner uses to decide local non-triviality and PC edge deletion.
 func GTest(d Data, x, y int, z []int) (TestResult, error) {
-	if x == y {
-		return TestResult{}, errors.New("stats: GTest with x == y")
-	}
-	for _, zi := range z {
-		if zi == x || zi == y {
-			return TestResult{}, fmt.Errorf("stats: conditioning set contains tested variable %d", zi)
-		}
+	s, err := NewStrata(d, x, y, z)
+	if err != nil {
+		return TestResult{}, err
 	}
 	n := d.N()
-	if n == 0 {
-		return TestResult{Reliant: false, P: 1}, nil
-	}
-	cx := d.Card(x) + 1 // +1 for the missing category
-	cy := d.Card(y) + 1
 	xcol, ycol := d.Codes(x), d.Codes(y)
-
-	// Stratify rows by their z-assignment via a mixed-radix key.
-	strata := map[int64][]int32{} // key -> contingency table (cx*cy counts)
-	radix := make([]int64, len(z))
-	for i, zi := range z {
-		radix[i] = int64(d.Card(zi) + 1)
-	}
 	zcols := make([][]int32, len(z))
 	for i, zi := range z {
 		zcols[i] = d.Codes(zi)
 	}
 	for r := 0; r < n; r++ {
 		var key int64
-		for i := range z {
-			key = key*radix[i] + int64(catOf(zcols[i][r], int(radix[i])-1))
+		for i, col := range zcols {
+			key = s.Fold(key, i, col[r])
 		}
-		tab := strata[key]
-		if tab == nil {
-			tab = make([]int32, cx*cy)
-			strata[key] = tab
-		}
-		tab[catOf(xcol[r], cx-1)*cy+catOf(ycol[r], cy-1)]++
+		s.table(key)[s.cell(xcol[r], ycol[r])]++
 	}
-
-	return TestFromStrata(strata, n, cx, cy)
+	s.n = n
+	return s.Result()
 }
 
-// TestFromStrata finishes a G² test from pre-accumulated per-stratum
-// contingency tables: the shared tail of GTest, exposed so callers that
-// build strata from merged windowed tables (internal/stats/incr) compute
-// bit-identical results to a from-scratch pass over the rows. n is the
-// total observation count behind the strata; cx and cy are the table
-// dimensions including the extra missing slot.
-func TestFromStrata(strata map[int64][]int32, n, cx, cy int) (TestResult, error) {
-	if n == 0 {
-		return TestResult{Reliant: false, P: 1}, nil
+// Strata is the contingency accumulator behind every G² test: one cx×cy
+// count table per stratum of the conditioning set, keyed by the
+// mixed-radix code of the stratum's assignment, with one extra slot per
+// dimension for the missing category. GTest fills it from row columns,
+// internal/stats/incr from merged cells with multiplicities (and its
+// drift check as a single stratum), and Result is the one routine that
+// turns the counts into a TestResult, so every caller that fills the
+// same counts gets the same bits.
+type Strata struct {
+	cx, cy int     // table dimensions, missing slot included
+	radix  []int64 // per conditioning variable: its cardinality + 1
+	n      int
+	tabs   map[int64][]int32
+}
+
+// NewStrata validates a test of x against y given z over s's variables
+// and returns an empty accumulator for it. x and y must differ, and z
+// must exclude both; every index must be a variable of s.
+func NewStrata(s Shape, x, y int, z []int) (*Strata, error) {
+	nv := s.NumVars()
+	if x == y {
+		return nil, errors.New("stats: G² test with x == y")
 	}
-	g, dof := gFromStrata(strata, cx, cy)
+	if x < 0 || x >= nv || y < 0 || y >= nv {
+		return nil, fmt.Errorf("stats: variable out of range (%d, %d of %d)", x, y, nv)
+	}
+	radix := make([]int64, len(z))
+	for i, zi := range z {
+		if zi == x || zi == y {
+			return nil, fmt.Errorf("stats: conditioning set contains tested variable %d", zi)
+		}
+		if zi < 0 || zi >= nv {
+			return nil, fmt.Errorf("stats: conditioning variable %d out of range", zi)
+		}
+		radix[i] = int64(s.Card(zi) + 1)
+	}
+	return &Strata{cx: s.Card(x) + 1, cy: s.Card(y) + 1, radix: radix, tabs: map[int64][]int32{}}, nil
+}
+
+// Fold extends a stratum key with the code of conditioning variable z[i].
+// An observation's key starts at 0 and folds z's codes in order: a
+// mixed-radix number whose digit i has base Card(z[i])+1.
+func (s *Strata) Fold(key int64, i int, code int32) int64 {
+	return key*s.radix[i] + int64(catOf(code, int(s.radix[i])-1))
+}
+
+// cell returns the index of the code pair (xc, yc) in a stratum table.
+func (s *Strata) cell(xc, yc int32) int {
+	return catOf(xc, s.cx-1)*s.cy + catOf(yc, s.cy-1)
+}
+
+// table returns the count table of the stratum with the given key,
+// creating it empty. GTest's row loop increments it in place with no
+// per-row check or call (table, cell and Fold inline), which keeps the
+// loop as tight as a hand-written one.
+func (s *Strata) table(key int64) []int32 {
+	tab := s.tabs[key]
+	if tab == nil {
+		tab = make([]int32, s.cx*s.cy)
+		s.tabs[key] = tab
+	}
+	return tab
+}
+
+// AddN adds k observations with codes xc, yc to the stratum with the
+// given key. It fails, leaving the counts unusable, when the cell would
+// overflow the int32 tables.
+func (s *Strata) AddN(key int64, xc, yc int32, k int64) error {
+	tab := s.table(key)
+	idx := s.cell(xc, yc)
+	if int64(tab[idx])+k > math.MaxInt32 {
+		return errors.New("stats: cell count overflows the test's int32 tables")
+	}
+	tab[idx] += int32(k)
+	s.n += int(k)
+	return nil
+}
+
+// Result finishes the G² test over the accumulated counts. An empty
+// sample, or a table with no degrees of freedom, reports P = 1 and is
+// unreliable. When the chi-square tail fails to converge the statistic
+// and dof are still reported alongside the error.
+func (s *Strata) Result() (TestResult, error) {
+	if s.n == 0 {
+		return TestResult{P: 1}, nil
+	}
+	g, dof := s.g()
 	if dof <= 0 {
-		return TestResult{Stat: 0, Dof: 0, P: 1, Reliant: false}, nil
+		return TestResult{P: 1}, nil
 	}
-	// Heuristic reliability check from the PC literature: require on average
-	// >= 5 samples per cell over non-empty strata.
-	cells := len(strata) * cx * cy
-	reliant := n >= 5*cells/4
+	// Reliability heuristic for sparse tables: n >= 5·cells/4 in integer
+	// arithmetic, i.e. at least 1.25 observations per cell, where cells
+	// counts every slot (missing included) of every non-empty stratum.
+	cells := len(s.tabs) * s.cx * s.cy
+	reliant := s.n >= 5*cells/4
 	p, err := ChiSquareSurvival(g, dof)
 	if err != nil {
-		return TestResult{}, err
+		return TestResult{Stat: g, Dof: dof}, err
 	}
 	return TestResult{Stat: g, Dof: dof, P: p, Reliant: reliant}, nil
 }
 
-// gFromStrata accumulates the G² statistic and degrees of freedom across
-// strata, using per-stratum margins for expected counts. Rows/columns that
-// are empty within a stratum do not contribute degrees of freedom there.
+// g accumulates the G² statistic and degrees of freedom across strata,
+// using per-stratum margins for expected counts. Rows/columns that are
+// empty within a stratum do not contribute degrees of freedom there.
 //
 // Strata are visited in ascending key order. Floating-point addition is
 // not associative, so summing G² in Go's randomized map order would let
 // the last bits of the statistic — and p-values sitting near the alpha
 // threshold — differ run to run, breaking the synthesizer's pinned
 // determinism. The sort makes the accumulation order, and therefore every
-// bit of the result, a function of the data alone.
-func gFromStrata(strata map[int64][]int32, cx, cy int) (float64, int) {
-	keys := make([]int64, 0, len(strata))
-	for k := range strata {
+// bit of the result, a function of the counts alone.
+func (s *Strata) g() (float64, int) {
+	cx, cy := s.cx, s.cy
+	keys := make([]int64, 0, len(s.tabs))
+	for k := range s.tabs {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
@@ -175,7 +231,7 @@ func gFromStrata(strata map[int64][]int32, cx, cy int) (float64, int) {
 	rowMarg := make([]float64, cx)
 	colMarg := make([]float64, cy)
 	for _, key := range keys {
-		tab := strata[key]
+		tab := s.tabs[key]
 		for i := range rowMarg {
 			rowMarg[i] = 0
 		}
@@ -218,22 +274,9 @@ func gFromStrata(strata map[int64][]int32, cx, cy int) (float64, int) {
 					continue
 				}
 				e := rowMarg[i] * colMarg[j] / total
-				g += 2 * o * fastLog(o/e)
+				g += 2 * o * math.Log(o/e)
 			}
 		}
 	}
 	return g, dof
-}
-
-// ChiSquareTest is the Pearson chi-square analogue of GTest, provided for
-// cross-checking; it shares the stratification machinery.
-func ChiSquareTest(d Data, x, y int, z []int) (TestResult, error) {
-	res, err := GTest(d, x, y, z)
-	if err != nil {
-		return res, err
-	}
-	// G² and Pearson X² are asymptotically equivalent; we reuse the G² path
-	// and only rebrand the result. Exposed separately so callers can make
-	// the choice explicit.
-	return res, nil
 }

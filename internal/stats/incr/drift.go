@@ -1,10 +1,6 @@
 package incr
 
-import (
-	"math"
-
-	"github.com/guardrail-db/guardrail/internal/stats"
-)
+import "github.com/guardrail-db/guardrail/internal/stats"
 
 // VarDrift is the drift verdict for one variable: a G-test of
 // homogeneity between its baseline and window marginal distributions.
@@ -55,75 +51,48 @@ func (r DriftReport) Dirty(numVars int) []bool {
 }
 
 // DetectDrift compares each variable's marginal distribution in window
-// against baseline with a G-test of homogeneity on the 2×k contingency
-// table (baseline counts vs window counts over the k observed
-// categories, missing included) and flags variables whose p-value falls
-// at or below alpha. Small samples (dof 0, or either side empty) never
-// flag — matching the conservative stance the CI tests take on sparse
-// tables. The scan is over fixed-order slices, so the report is a pure
-// function of the two tables.
+// against baseline with a G-test of homogeneity on the k×2 contingency
+// table (the k marginal slots, missing included, against baseline and
+// window counts) and flags variables whose p-value falls at or below
+// alpha. Small samples (dof 0, or either side empty) never flag —
+// matching the conservative stance the CI tests take on sparse tables.
+// The scan is over fixed-order slices, so the report is a pure function
+// of the two tables.
 func DetectDrift(baseline, window *Table, alpha float64) DriftReport {
-	nv := baseline.NumVars()
-	if window.NumVars() < nv {
-		nv = window.NumVars()
-	}
+	nv := min(baseline.NumVars(), window.NumVars())
 	rep := DriftReport{Vars: make([]VarDrift, 0, nv)}
 	for i := 0; i < nv; i++ {
-		b := baseline.Marginal(i)
-		w := window.Marginal(i)
-		rep.Vars = append(rep.Vars, driftOne(i, b, w, alpha))
+		rep.Vars = append(rep.Vars, driftOne(i, baseline.Marginal(i), window.Marginal(i), alpha))
 	}
 	return rep
 }
 
-// driftOne runs the 2×k homogeneity G-test for one variable. The two
-// marginals may have different lengths when one table's dictionary grew;
-// the shorter is treated as zero-padded.
+// driftOne runs the homogeneity test for one variable as a single-stratum
+// stats.Strata over (marginal slot, side). The two marginals may have
+// different lengths when one table's dictionary grew; slots are compared
+// by position, the shorter marginal zero-padded. Slots index the table's
+// rows and sides its columns: that orientation sums the G² terms slot by
+// slot, baseline before window, and the transposed table would round
+// differently. A count past the int32 tables, like a chi-square tail
+// that fails to converge, never flags.
 func driftOne(i int, b, w []int64, alpha float64) VarDrift {
-	k := len(b)
-	if len(w) > k {
-		k = len(w)
-	}
-	at := func(m []int64, j int) float64 {
-		if j < len(m) {
-			return float64(m[j])
-		}
-		return 0
-	}
-	var nb, nw float64
-	for j := 0; j < k; j++ {
-		nb += at(b, j)
-		nw += at(w, j)
-	}
 	d := VarDrift{Var: i, P: 1}
-	total := nb + nw
-	if nb == 0 || nw == 0 {
-		return d // nothing to compare against
-	}
-	nzCols := 0
-	var g float64
-	for j := 0; j < k; j++ {
-		ob, ow := at(b, j), at(w, j)
-		col := ob + ow
-		if col == 0 {
-			continue
-		}
-		nzCols++
-		if ob > 0 {
-			g += 2 * ob * math.Log(ob/(nb*col/total))
-		}
-		if ow > 0 {
-			g += 2 * ow * math.Log(ow/(nw*col/total))
-		}
-	}
-	if nzCols < 2 {
+	s, err := stats.NewStrata(New([]int{max(len(b), len(w)), 2}), 0, 1, nil)
+	if err != nil {
 		return d
 	}
-	d.Stat = g
-	d.Dof = nzCols - 1
-	if p, err := stats.ChiSquareSurvival(g, d.Dof); err == nil {
-		d.P = p
-		d.Drifted = p <= alpha
+	for side, m := range [2][]int64{b, w} {
+		for slot, c := range m {
+			if err := s.AddN(0, int32(slot), int32(side), c); err != nil {
+				return d
+			}
+		}
+	}
+	res, err := s.Result()
+	d.Stat, d.Dof = res.Stat, res.Dof
+	if err == nil && res.Dof > 0 {
+		d.P = res.P
+		d.Drifted = res.P <= alpha
 	}
 	return d
 }

@@ -7,18 +7,17 @@
 // the windowed/sliding view (Ring), drift detection, and the scale-out
 // story (partition rows → merge tables → synthesize once) are built on.
 //
-// A Table implements stats.CITester by marginalizing its cells into the
-// same per-stratum cx×cy tables that stats.GTest builds from raw columns
-// and finishing through the shared stats.TestFromStrata tail, so PC run
-// over merged tables produces the same CPDAG as a from-scratch run over
-// the equivalent concatenated rows.
+// A Table implements stats.CITester by adding its cells to the same
+// stats.Strata accumulator that stats.GTest fills from raw columns and
+// finishing through the same routine, so PC run over merged tables
+// produces the same CPDAG as a from-scratch run over the equivalent
+// concatenated rows.
 package incr
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"github.com/guardrail-db/guardrail/internal/stats"
 )
@@ -217,58 +216,36 @@ func (t *Table) Marginal(i int) []int64 {
 	card := t.cards[i]
 	out := make([]int64, card+1)
 	for k, v := range t.cells {
-		out[stats.CatOf(codeAt(k, i), card)] += v
+		c := int(codeAt(k, i))
+		if c < 0 {
+			c = card
+		}
+		out[c] += v
 	}
 	return out
 }
 
-// Test computes the G² independence test of x and y given z by
-// marginalizing the table into per-stratum contingency tables and
-// finishing through stats.TestFromStrata — the exact tail stats.GTest
-// uses, so the result is bit-identical to a from-scratch pass over rows
-// carrying the same joint counts.
+// Test computes the G² independence test of x and y given z by adding
+// every cell, with its multiplicity, to a stats.Strata — the accumulator
+// and finisher stats.GTest uses — so the result is bit-identical to a
+// from-scratch pass over rows carrying the same joint counts.
 func (t *Table) Test(x, y int, z []int) (stats.TestResult, error) {
-	nv := len(t.cards)
-	if x == y {
-		return stats.TestResult{}, errors.New("incr: Test with x == y")
-	}
-	if x < 0 || x >= nv || y < 0 || y >= nv {
-		return stats.TestResult{}, fmt.Errorf("incr: variable out of range (%d, %d of %d)", x, y, nv)
-	}
-	for _, zi := range z {
-		if zi == x || zi == y {
-			return stats.TestResult{}, fmt.Errorf("incr: conditioning set contains tested variable %d", zi)
-		}
-		if zi < 0 || zi >= nv {
-			return stats.TestResult{}, fmt.Errorf("incr: conditioning variable %d out of range", zi)
-		}
-	}
-	cx := t.cards[x] + 1
-	cy := t.cards[y] + 1
-	radix := make([]int64, len(z))
-	for i, zi := range z {
-		radix[i] = int64(t.cards[zi] + 1)
+	s, err := stats.NewStrata(t, x, y, z)
+	if err != nil {
+		return stats.TestResult{}, err
 	}
 	// Integer accumulation commutes, so ranging over the cell map in
 	// arbitrary order still yields exactly the strata a row scan builds.
-	strata := map[int64][]int32{}
-	for key, cnt := range t.cells {
-		var sk int64
+	for cell, cnt := range t.cells {
+		var key int64
 		for i, zi := range z {
-			sk = sk*radix[i] + int64(stats.CatOf(codeAt(key, zi), int(radix[i])-1))
+			key = s.Fold(key, i, codeAt(cell, zi))
 		}
-		tab := strata[sk]
-		if tab == nil {
-			tab = make([]int32, cx*cy)
-			strata[sk] = tab
+		if err := s.AddN(key, codeAt(cell, x), codeAt(cell, y), cnt); err != nil {
+			return stats.TestResult{}, err
 		}
-		idx := stats.CatOf(codeAt(key, x), cx-1)*cy + stats.CatOf(codeAt(key, y), cy-1)
-		if int64(tab[idx])+cnt > math.MaxInt32 {
-			return stats.TestResult{}, errors.New("incr: cell count overflows the test's int32 tables")
-		}
-		tab[idx] += int32(cnt)
 	}
-	return stats.TestFromStrata(strata, int(t.n), cx, cy)
+	return s.Result()
 }
 
 var _ stats.CITester = (*Table)(nil)

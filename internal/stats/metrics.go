@@ -6,8 +6,6 @@ import (
 	"sort"
 )
 
-func fastLog(x float64) float64 { return math.Log(x) }
-
 // Confusion is a binary confusion matrix.
 type Confusion struct {
 	TP, FP, TN, FN int

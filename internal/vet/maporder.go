@@ -9,9 +9,9 @@ package vet
 // output stream, or compound-accumulates into a float outliving the
 // loop. Go randomizes map order, so the first two sinks differ run to
 // run and the third differs in the low bits — float addition is not
-// associative, so accumulation order changes the rounding (the
-// gFromStrata G² bug: p-values near the alpha threshold flipped
-// between runs).
+// associative, so accumulation order changes the rounding (the G²
+// strata bug, fixed in stats.Strata.g: p-values near the alpha threshold
+// flipped between runs).
 //
 // Layer 2 is a forward taint analysis on the CFG that follows
 // map-iteration order through assignments the syntactic check cannot
