@@ -31,6 +31,8 @@ import (
 	"github.com/guardrail-db/guardrail/internal/sketch"
 	"github.com/guardrail-db/guardrail/internal/smt"
 	"github.com/guardrail-db/guardrail/internal/sqlexec"
+	"github.com/guardrail-db/guardrail/internal/stats"
+	"github.com/guardrail-db/guardrail/internal/stats/incr"
 	"github.com/guardrail-db/guardrail/internal/synth"
 )
 
@@ -147,6 +149,57 @@ func BenchmarkPCLearn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := pc.Learn(aux, pc.Options{}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// codesOnly hides a dataset's packed columns, so GTest counts its rows.
+type codesOnly struct{ stats.Data }
+
+// BenchmarkGTest times one G² test per conditioning-set size on an
+// auxiliary sample: over the packed columns (popcount path) and over the
+// same sample's codes (row loop into flat strata).
+func BenchmarkGTest(b *testing.B) {
+	rel, err := bn.RandomSEM(bn.SEMSpec{Attrs: 10, Seed: 3}).Sample(3000, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	aux, err := auxdist.Sample(rel, auxdist.Options{Shifts: 8, Seed: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, view := range []struct {
+		name string
+		d    stats.Data
+	}{{"packed", aux}, {"codes", codesOnly{aux}}} {
+		for k := 0; k <= 3; k++ {
+			z := []int{2, 3, 4}[:k]
+			b.Run(fmt.Sprintf("%s/z=%d", view.name, k), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := stats.GTest(view.d, 0, 1, z); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkTableTest times incr.Table.Test, the CI test incremental
+// synthesis and drift-aware re-learning run over merged window tables,
+// at conditioning-set sizes 0–2 on raw codes.
+func BenchmarkTableTest(b *testing.B) {
+	rel, err := bn.RandomSEM(bn.SEMSpec{Attrs: 10, Seed: 3}).Sample(3000, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tab := incr.FromData(auxdist.Identity(rel))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := 0; k <= 2; k++ {
+			if _, err := tab.Test(0, 1, []int{2, 3}[:k]); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"github.com/guardrail-db/guardrail/internal/dataset"
 	"github.com/guardrail-db/guardrail/internal/obs"
@@ -21,15 +22,19 @@ import (
 	"github.com/guardrail-db/guardrail/internal/par"
 )
 
-// Binary is a dense binary dataset implementing stats.Data.
+// Binary is a dense binary dataset implementing stats.Packed: each
+// indicator column is stored only bit-packed, 64 samples to a word, and
+// unpacked into int32 codes on first use of Codes.
 type Binary struct {
 	names []string
-	cols  [][]int32
+	bits  [][]uint64
 	n     int
+	codes [][]int32
+	once  []sync.Once
 }
 
 // NumVars reports the number of variables.
-func (b *Binary) NumVars() int { return len(b.cols) }
+func (b *Binary) NumVars() int { return len(b.bits) }
 
 // N reports the number of samples.
 func (b *Binary) N() int { return b.n }
@@ -37,8 +42,21 @@ func (b *Binary) N() int { return b.n }
 // Card is always 2.
 func (b *Binary) Card(i int) int { return 2 }
 
-// Codes returns column i.
-func (b *Binary) Codes(i int) []int32 { return b.cols[i] }
+// Bits returns column i packed, sample r at bit r%64 of word r/64.
+func (b *Binary) Bits(i int) []uint64 { return b.bits[i] }
+
+// Codes returns column i as codes, unpacking it once; it is safe for
+// concurrent use.
+func (b *Binary) Codes(i int) []int32 {
+	b.once[i].Do(func() {
+		col := make([]int32, b.n)
+		for r := range col {
+			col[r] = int32(b.bits[i][r>>6] >> (r & 63) & 1)
+		}
+		b.codes[i] = col
+	})
+	return b.codes[i]
+}
 
 // Name returns the originating attribute name of variable i.
 func (b *Binary) Name(i int) string { return b.names[i] }
@@ -54,9 +72,10 @@ type Options struct {
 	Seed int64
 	// Workers bounds the concurrency of per-shift sample filling; <= 0
 	// uses every core, 1 forces the serial path. The shifts and their
-	// start offsets are drawn serially before the fan-out and every shift
-	// writes a disjoint pre-sized slice segment, so the output is
-	// byte-identical at any worker count.
+	// start offsets are drawn serially before the fan-out, every shift
+	// fills a disjoint segment of the samples, and the words two segments
+	// share are merged after it, so the output is byte-identical at any
+	// worker count.
 	Workers int
 	// Obs receives aux.shifts / aux.samples counters and the aux.sample
 	// stage timing; nil disables instrumentation at zero cost.
@@ -100,9 +119,10 @@ func Sample(rel *dataset.Relation, opts Options) (*Binary, error) {
 	}
 
 	m := rel.NumAttrs()
-	out := &Binary{names: append([]string(nil), rel.Attrs()...), cols: make([][]int32, m), n: total}
+	out := &Binary{names: append([]string(nil), rel.Attrs()...), bits: make([][]uint64, m), n: total,
+		codes: make([][]int32, m), once: make([]sync.Once, m)}
 	for c := 0; c < m; c++ {
-		out.cols[c] = make([]int32, total)
+		out.bits[c] = make([]uint64, (total+63)/64)
 	}
 	// Start offsets consume the RNG in shift order before the fan-out, so
 	// the sample is independent of the worker schedule.
@@ -112,30 +132,69 @@ func Sample(rel *dataset.Relation, opts Options) (*Binary, error) {
 			starts[si] = rng.Intn(n)
 		}
 	}
-	if _, err := par.Map(trace.ContextWithScope(context.Background(), opts.Trace.Under(tsp)),
+	shared, err := par.Map(trace.ContextWithScope(context.Background(), opts.Trace.Under(tsp)),
 		opts.Workers, len(shifts),
-		func(ctx context.Context, si int) (struct{}, error) {
+		func(ctx context.Context, si int) ([]edgeWord, error) {
 			ssp := trace.FromContext(ctx).Start("aux.shift").
 				Int("shift", int64(shifts[si])).Int("samples", int64(perShift))
-			s, base := shifts[si], si*perShift
-			for k := 0; k < perShift; k++ {
-				i := (starts[si] + k) % n
-				j := (i + s) % n
-				for c := 0; c < m; c++ {
-					col := rel.Column(c)
-					if col[i] == col[j] {
-						out.cols[c][base+k] = 1
-					}
-				}
-			}
+			edges := fillShift(out.bits, rel, starts[si], shifts[si], si*perShift, (si+1)*perShift)
 			ssp.End()
-			return struct{}{}, nil
-		}); err != nil {
+			return edges, nil
+		})
+	if err != nil {
 		return nil, err
+	}
+	for _, edges := range shared {
+		for _, e := range edges {
+			out.bits[e.col][e.word] |= e.bits
+		}
 	}
 	opts.Obs.Counter("aux.shifts").Add(int64(len(shifts)))
 	opts.Obs.Counter("aux.samples").Add(int64(total))
 	return out, nil
+}
+
+// edgeWord holds a shift's samples in a word its segment shares with a
+// neighbouring segment (or the unused tail of the last word).
+type edgeWord struct {
+	col, word int
+	bits      uint64
+}
+
+// fillShift sets the indicator bits of samples [lo, hi): sample lo+k
+// pairs row i = (start+k) mod n with row (i+shift) mod n. Words wholly
+// inside the segment are written directly; no other segment touches
+// them. Words only partly inside are returned for the caller to merge,
+// so concurrent shifts never write one word.
+func fillShift(bits [][]uint64, rel *dataset.Relation, start, shift, lo, hi int) []edgeWord {
+	n := rel.NumRows()
+	var edges []edgeWord
+	for c := range bits {
+		col := rel.Column(c)
+		i, j := start, (start+shift)%n
+		var word uint64
+		for g := lo; g < hi; g++ {
+			if col[i] == col[j] {
+				word |= 1 << (g & 63)
+			}
+			if g&63 == 63 || g == hi-1 {
+				w := g >> 6
+				if w*64 >= lo && w*64+64 <= hi {
+					bits[c][w] = word
+				} else {
+					edges = append(edges, edgeWord{col: c, word: w, bits: word})
+				}
+				word = 0
+			}
+			if i++; i == n {
+				i = 0
+			}
+			if j++; j == n {
+				j = 0
+			}
+		}
+	}
+	return edges
 }
 
 // pickShifts draws k distinct shifts in [1, n-1].

@@ -1,6 +1,7 @@
 package auxdist
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -67,6 +68,52 @@ func TestSampleDeterministicPerSeed(t *testing.T) {
 		for i := range ca {
 			if ca[i] != cb[i] {
 				t.Fatalf("sampling not deterministic at var %d row %d", v, i)
+			}
+		}
+	}
+}
+
+// TestSampleMatchesDefinition recomputes every indicator from Def. 4.5
+// and the circular-shift pairing, drawing shifts and start offsets as
+// Sample does, and checks the packed words bit by bit, bits past N
+// included (they must be zero).
+func TestSampleMatchesDefinition(t *testing.T) {
+	r := rel(t)
+	n := r.NumRows()
+	for _, opts := range []Options{
+		{Shifts: 4, Seed: 1, Workers: 2},
+		{Shifts: 8, Seed: 2, MaxSamples: 1000, Workers: 2},
+		{Shifts: 8, Seed: 3, MaxSamples: 100, Workers: 4},
+	} {
+		b, err := Sample(r, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(opts.Seed))
+		shifts := pickShifts(n, opts.Shifts, rng)
+		perShift := b.N() / len(shifts)
+		starts := make([]int, len(shifts))
+		for si := range starts {
+			if perShift < n {
+				starts[si] = rng.Intn(n)
+			}
+		}
+		for c := 0; c < b.NumVars(); c++ {
+			col := r.Column(c)
+			want := make([]uint64, len(b.Bits(c)))
+			for si, s := range shifts {
+				for k := 0; k < perShift; k++ {
+					i := (starts[si] + k) % n
+					if col[i] == col[(i+s)%n] {
+						g := si*perShift + k
+						want[g>>6] |= 1 << (g & 63)
+					}
+				}
+			}
+			for w, got := range b.Bits(c) {
+				if got != want[w] {
+					t.Fatalf("opts %+v column %d word %d = %#x, want %#x", opts, c, w, got, want[w])
+				}
 			}
 		}
 	}

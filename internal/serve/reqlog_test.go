@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -114,24 +115,38 @@ func TestAccessLogRejected(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Occupy the only slot with a stalled streaming request.
+	// Occupy the only slot with a stalled streaming request. Closing the
+	// pipe un-stalls it; the deferred Close runs before ts.Close, which
+	// would otherwise wait forever on the stalled connection when the
+	// test fails early.
 	pr, pw := io.Pipe()
+	defer pw.Close()
 	req, err := http.NewRequest("POST", ts.URL+"/v1/check?dataset=postal", pr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/x-ndjson")
+	// The first verdict line proves the stalled request holds the slot.
+	verdict := make(chan error, 1)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		resp, err := http.DefaultClient.Do(req)
-		if err == nil {
-			_, _ = io.Copy(io.Discard, resp.Body)
-			_ = resp.Body.Close()
+		if err != nil {
+			verdict <- err
+			return
 		}
+		defer resp.Body.Close()
+		br := bufio.NewReader(resp.Body)
+		_, err = br.ReadString('\n')
+		verdict <- err
+		_, _ = io.Copy(io.Discard, br)
 	}()
 	if _, err := pw.Write([]byte(`{"PostalCode":"94704","City":"Berkeley"}` + "\n")); err != nil {
 		t.Fatal(err)
+	}
+	if err := <-verdict; err != nil {
+		t.Fatalf("stalled request's first verdict: %v", err)
 	}
 
 	rej, err := http.NewRequest("POST", ts.URL+"/v1/check?dataset=postal", strings.NewReader(`{}`))
