@@ -11,8 +11,14 @@ package guardrail_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/guardrail-db/guardrail/internal/auxdist"
@@ -28,6 +34,7 @@ import (
 	"github.com/guardrail-db/guardrail/internal/obs/trace"
 	"github.com/guardrail-db/guardrail/internal/pc"
 	"github.com/guardrail-db/guardrail/internal/repair"
+	"github.com/guardrail-db/guardrail/internal/serve"
 	"github.com/guardrail-db/guardrail/internal/sketch"
 	"github.com/guardrail-db/guardrail/internal/smt"
 	"github.com/guardrail-db/guardrail/internal/sqlexec"
@@ -657,5 +664,81 @@ func BenchmarkSMTEncode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		smt.Encode(rel, 3)
+	}
+}
+
+// BenchmarkServeBatch prices one 1000-row batch request per iteration on
+// each streaming path of the serve daemon, over a loopback HTTP server so
+// response flushes reach a real socket. The fixture is the postal example
+// (examples/constraints), cycled row by row; the drift monitor is off.
+// ns/row, allocs/row and B/row count client and server together.
+func BenchmarkServeBatch(b *testing.B) {
+	const rows = 1000
+	schema, err := os.ReadFile("examples/constraints/postal.csv")
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := os.ReadFile("examples/constraints/postal.gr")
+	if err != nil {
+		b.Fatal(err)
+	}
+	reg := serve.NewRegistry(nil)
+	if _, _, err := reg.Load("postal", schema, prog); err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(serve.New(serve.Config{Registry: reg, FlightSize: -1}).Handler())
+	defer ts.Close()
+
+	lines := strings.Split(strings.TrimSpace(string(schema)), "\n")
+	header, data := strings.Split(lines[0], ","), lines[1:]
+	var csvBody, ndjsonBody bytes.Buffer
+	csvBody.WriteString(lines[0] + "\n")
+	for i := 0; i < rows; i++ {
+		rec := data[i%len(data)]
+		csvBody.WriteString(rec + "\n")
+		m := map[string]string{}
+		for c, v := range strings.Split(rec, ",") {
+			m[header[c]] = v
+		}
+		line, err := json.Marshal(m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ndjsonBody.Write(append(line, '\n'))
+	}
+	cases := []struct {
+		name, path, ct string
+		body           []byte
+	}{
+		{"csv-check", "/v1/check", "text/csv", csvBody.Bytes()},
+		{"csv-rectify", "/v1/rectify", "text/csv", csvBody.Bytes()},
+		{"ndjson-check", "/v1/check", "application/x-ndjson", ndjsonBody.Bytes()},
+		{"ndjson-rectify", "/v1/rectify", "application/x-ndjson", ndjsonBody.Bytes()},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				resp, err := http.Post(ts.URL+c.path+"?dataset=postal", c.ct, bytes.NewReader(c.body))
+				if err != nil {
+					b.Fatal(err)
+				}
+				_, err = io.Copy(io.Discard, resp.Body)
+				if cerr := resp.Body.Close(); err == nil {
+					err = cerr
+				}
+				if err != nil || resp.StatusCode != http.StatusOK {
+					b.Fatalf("status %d: %v", resp.StatusCode, err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&m1)
+			n := float64(b.N) * rows
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/row")
+			b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/n, "allocs/row")
+			b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/n, "B/row")
+		})
 	}
 }

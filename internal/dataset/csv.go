@@ -127,6 +127,22 @@ func (e *Encoder) Encode(attr int, v string) int32 {
 	return c
 }
 
+// EncodeBytes is Encode for a value held in a byte slice. A dictionary
+// value, or an unseen value the encoder already holds, encodes without
+// allocating; Decode of the code then returns the held string.
+func (e *Encoder) EncodeBytes(attr int, v []byte) int32 {
+	if len(v) == 0 {
+		return Missing
+	}
+	if c, ok := e.rel.dicts[attr].byValue[string(v)]; ok {
+		return c
+	}
+	if c, ok := e.unseen[attr][string(v)]; ok {
+		return c
+	}
+	return e.Encode(attr, string(v))
+}
+
 // Decode returns the string of code c in attribute attr: "" for Missing
 // (the CSV form, so empty cells round-trip), the dictionary value, or the
 // unseen string a batch-local code was allocated for.

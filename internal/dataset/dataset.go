@@ -178,6 +178,23 @@ func (r *Relation) AppendCodes(codes []int32) error {
 	return nil
 }
 
+// DropFront removes the first n rows in place. The dictionaries are kept,
+// so every code stays valid and the column slices keep their capacity:
+// a relation appended to and trimmed in turn stays within the most rows
+// it ever held at once.
+func (r *Relation) DropFront(n int) {
+	if n <= 0 {
+		return
+	}
+	if n > r.nrows {
+		n = r.nrows
+	}
+	for i, col := range r.cols {
+		r.cols[i] = col[:copy(col, col[n:])]
+	}
+	r.nrows -= n
+}
+
 // Row copies row i's codes into dst (allocated if nil) and returns it.
 func (r *Relation) Row(i int, dst []int32) []int32 {
 	if cap(dst) < len(r.attrs) {

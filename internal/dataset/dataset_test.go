@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -218,5 +219,25 @@ func TestSplitProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestDropFront(t *testing.T) {
+	r := New("t", []string{"a", "b"})
+	for i := 0; i < 5; i++ {
+		if err := r.AppendRow([]string{fmt.Sprint(i), ""}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.DropFront(2)
+	if r.NumRows() != 3 || r.Value(0, 0) != "2" || r.Value(2, 0) != "4" || r.Code(1, 1) != Missing {
+		t.Fatalf("after DropFront(2): %v rows %v %v", r, r.RowStrings(0), r.RowStrings(2))
+	}
+	if c, ok := r.Dict(0).Lookup("0"); !ok || c != 0 || r.Cardinality(0) != 5 {
+		t.Fatalf("dropping rows changed the dictionary: code %d ok %v card %d", c, ok, r.Cardinality(0))
+	}
+	r.DropFront(10)
+	if r.NumRows() != 0 || len(r.Column(0)) != 0 {
+		t.Fatalf("DropFront past the end left %d rows", r.NumRows())
 	}
 }

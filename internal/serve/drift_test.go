@@ -1,13 +1,17 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"github.com/guardrail-db/guardrail/internal/bn"
 	"github.com/guardrail-db/guardrail/internal/dataset"
 )
 
@@ -219,4 +223,77 @@ func TestCodecDistinctUnseenCodes(t *testing.T) {
 			t.Fatalf("row %d violation = %+v, want City %s->Berkeley", i, got, raw)
 		}
 	}
+}
+
+// TestDriftWireGolden pins the /v1/drift body after a shifting stream of
+// 3000 rows, sent as CSV and NDJSON batches over several requests: row
+// counts, windows, triggers and the change events with their row numbers
+// and program fingerprints. The monitor keeps only the rows its ring
+// still needs, so this golden holds its absolute row accounting fixed.
+func TestDriftWireGolden(t *testing.T) {
+	src, err := bn.PostalChain(6).Sample(3000, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var schema bytes.Buffer
+	if err := src.SelectRows([]int{0, 1, 2, 3}).ToCSV(&schema); err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry(nil)
+	if _, _, err := reg.Load("chain", schema.Bytes(), []byte(`GIVEN PostalCode ON City HAVING IF PostalCode = "0" THEN City <- "0";`)); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Registry: reg, FlightSize: -1, Drift: DriftConfig{Enabled: true, WindowRows: 500, MaxWindows: 4}})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	cityAt := src.AttrIndex("City")
+	row := func(r int) []string {
+		vals := src.RowStrings(r)
+		if r >= 1500 { // City decouples from PostalCode
+			vals[cityAt] = fmt.Sprintf("junk-%d", r%17)
+		}
+		return vals
+	}
+	for lo := 0; lo < src.NumRows(); lo += 250 {
+		var body bytes.Buffer
+		ct := "text/csv"
+		if lo/250%2 == 0 {
+			fmt.Fprintln(&body, strings.Join(src.Attrs(), ","))
+			for r := lo; r < lo+250; r++ {
+				fmt.Fprintln(&body, strings.Join(row(r), ","))
+			}
+		} else {
+			ct = "application/x-ndjson"
+			for r := lo; r < lo+250; r++ {
+				m := map[string]string{}
+				for a, v := range row(r) {
+					m[src.Attr(a)] = v
+				}
+				line, err := json.Marshal(m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				body.Write(append(line, '\n'))
+			}
+		}
+		resp, err := http.Post(ts.URL+"/v1/check?dataset=chain", ct, &body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		_ = resp.Body.Close()
+	}
+	resp, err := http.Get(ts.URL + "/v1/drift")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	if cerr := resp.Body.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, filepath.Join("testdata", "drift.golden"), string(got))
 }

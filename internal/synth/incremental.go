@@ -96,14 +96,17 @@ type Incremental struct {
 	program  *dsl.Program
 	fp       uint64
 
-	start  int // first row of the window currently filling
-	events []ChangeEvent
+	start   int // first row (of rel) of the window currently filling
+	dropped int // rows trimmed off rel's front; rel's row r is stream row dropped+r
+	events  []ChangeEvent
 
 	windows, triggers, resyntheses, changes int
 }
 
 // NewIncremental builds a driver observing into rel. Rows already in
-// rel count toward the first window.
+// rel count toward the first window. The driver keeps only the rows its
+// ring still holds plus the window filling, so rel's rows past that are
+// dropped from its front as windows expire; its dictionaries are kept.
 func NewIncremental(rel *dataset.Relation, opts IncrOptions) *Incremental {
 	opts.defaults()
 	return &Incremental{
@@ -113,8 +116,8 @@ func NewIncremental(rel *dataset.Relation, opts IncrOptions) *Incremental {
 	}
 }
 
-// Rel exposes the growing relation (for encoders that intern through
-// the same dictionaries).
+// Rel exposes the relation (for encoders that intern through the same
+// dictionaries). It holds the live rows only, see NewIncremental.
 func (inc *Incremental) Rel() *dataset.Relation { return inc.rel }
 
 // Program returns the current synthesized program (nil before the first
@@ -136,7 +139,7 @@ func (inc *Incremental) Events() []ChangeEvent { return inc.events }
 // Status snapshots the driver.
 func (inc *Incremental) Status() IncrStatus {
 	return IncrStatus{
-		Rows:        inc.rel.NumRows(),
+		Rows:        inc.dropped + inc.rel.NumRows(),
 		LiveRows:    inc.ring.N(),
 		Windows:     inc.windows,
 		Triggers:    inc.triggers,
@@ -175,8 +178,9 @@ func (inc *Incremental) Flush() ([]ChangeEvent, error) {
 func (inc *Incremental) flushWindow() ([]ChangeEvent, error) {
 	obsReg := inc.opts.Synth.Obs
 	lo, hi := inc.start, inc.rel.NumRows()
+	row := inc.dropped + hi // the stream position, for spans and events
 	sp := inc.opts.Synth.Trace.Start("drift.window").
-		Int("lo", int64(lo)).Int("hi", int64(hi))
+		Int("lo", int64(inc.dropped+lo)).Int("hi", int64(row))
 	defer sp.End()
 	hsp := obsReg.Histogram("drift.window_merge").Start()
 	win := incr.FromRows(auxdist.Identity(inc.rel), lo, hi)
@@ -186,6 +190,7 @@ func (inc *Incremental) flushWindow() ([]ChangeEvent, error) {
 	}
 	hsp.Stop()
 	inc.start = hi
+	inc.trim()
 	inc.windows++
 	obsReg.Counter("drift.windows").Inc()
 
@@ -218,7 +223,7 @@ func (inc *Incremental) flushWindow() ([]ChangeEvent, error) {
 	obsReg.Counter("drift.resyntheses").Inc()
 	ev := ChangeEvent{
 		Seq:            len(inc.events) + 1,
-		Row:            hi,
+		Row:            row,
 		DriftedColumns: drifted,
 		OldFingerprint: fmt.Sprintf("%016x", oldFP),
 		NewFingerprint: fmt.Sprintf("%016x", inc.fp),
@@ -230,6 +235,15 @@ func (inc *Incremental) flushWindow() ([]ChangeEvent, error) {
 	}
 	inc.events = append(inc.events, ev)
 	return []ChangeEvent{ev}, nil
+}
+
+// trim drops the rows older than the ring's oldest window: no later
+// window or synthesis reads them.
+func (inc *Incremental) trim() {
+	dead := inc.rel.NumRows() - inc.ring.N()
+	inc.rel.DropFront(dead)
+	inc.dropped += dead
+	inc.start -= dead
 }
 
 // synthesize (re-)runs the pipeline over the live window view: the rows

@@ -151,3 +151,54 @@ func TestIncrementalShiftTriggersResynthesis(t *testing.T) {
 		t.Fatal("drift.changes never fired")
 	}
 }
+
+// TestIncrementalBoundedRows: the driver keeps only the rows its ring
+// still holds plus the window filling, while Status and ChangeEvent rows
+// stay absolute stream positions. Rows already in the relation count
+// toward the first window and are dropped once it expires.
+func TestIncrementalBoundedRows(t *testing.T) {
+	const w, maxWin, pre = 64, 4, 100
+	src, err := bn.PostalChain(6).Sample(pre+100*w, 33)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := streamRelation(t, src)
+	for r := 0; r < pre; r++ {
+		if err := rel.AppendRow(src.RowStrings(r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inc := NewIncremental(rel, IncrOptions{WindowRows: w, MaxWindows: maxWin, Synth: Options{IdentitySampler: true}})
+	cityAt := src.AttrIndex("City")
+	for r := pre; r < src.NumRows(); r++ {
+		vals := src.RowStrings(r)
+		if r >= src.NumRows()/2 { // drift, so events carry row numbers
+			vals[cityAt] = fmt.Sprintf("junk-%d", r%17)
+		}
+		evs, err := inc.Observe(vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r == pre {
+			// The pre-loaded rows and this one fill the first window.
+			if st := inc.Status(); st.Windows != 1 || st.LiveRows != pre+1 || rel.NumRows() != pre+1 {
+				t.Fatalf("first window: %+v with %d rows held, want 1 window of %d rows", st, rel.NumRows(), pre+1)
+			}
+		}
+		for _, ev := range evs {
+			if ev.Row != r+1 || (ev.Row-pre-1)%w != 0 {
+				t.Fatalf("event at stream row %d reports row %d", r+1, ev.Row)
+			}
+		}
+		if r > pre+(maxWin+1)*w && rel.NumRows() > (maxWin+1)*w {
+			t.Fatalf("after %d rows the relation holds %d, want at most %d", r+1, rel.NumRows(), (maxWin+1)*w)
+		}
+	}
+	st := inc.Status()
+	if st.Rows != src.NumRows() || st.LiveRows != maxWin*w || st.Windows != 1+(src.NumRows()-pre-1)/w {
+		t.Fatalf("status %+v after %d rows", st, src.NumRows())
+	}
+	if st.Resyntheses == 0 {
+		t.Fatalf("the shifted half triggered no re-synthesis: %+v", st)
+	}
+}
