@@ -24,7 +24,7 @@
 //	             a type holding sync or sync/atomic state by value —
 //	             copying forks the lock word or counter register
 //	spanleak:    an obs.Span or trace.Span received from a call with a
-//	             path through the function that never calls Stop/End —
+//	             path through the function that never calls End —
 //	             an unclosed span loses its stage timing or exports as an
 //	             unfinished trace record
 //	lockbalance: a sync.Mutex/RWMutex still held on some path to return —

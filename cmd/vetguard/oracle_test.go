@@ -72,17 +72,18 @@ type legacySpanVar struct {
 	obj       types.Object
 	name      string
 	assignPos token.Pos
-	deferred  bool        // defer sp.Stop() / defer sp.End() anywhere
+	deferred  bool        // defer sp.End() anywhere
 	returned  bool        // sp appears in a return value: ownership moves out
-	endPos    []token.Pos // non-deferred sp.Stop()/sp.End() call positions
+	endPos    []token.Pos // non-deferred sp.End() call positions
 }
 
 // checkSpanLeak is the original enclosure-chain implementation,
-// unchanged except for renamed receiver types.
+// unchanged except for renamed receiver types and End as the only
+// closer.
 func (c *legacyChecker) checkSpanLeak(fn *ast.FuncDecl) {
 	vars := map[types.Object]*legacySpanVar{}
 
-	// Pass 1: collect span-typed call-assignments and every Stop/End.
+	// Pass 1: collect span-typed call-assignments and every End.
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
@@ -133,7 +134,7 @@ func (c *legacyChecker) checkSpanLeak(fn *ast.FuncDecl) {
 	}
 
 	// Pass 2: every return statement in the span's scope needs a covering
-	// Stop/End (unless the span is deferred or returned), and the
+	// End (unless the span is deferred or returned), and the
 	// fall-through path needs at least one close overall.
 	for _, sv := range vars {
 		if sv.deferred || sv.returned {
@@ -141,8 +142,8 @@ func (c *legacyChecker) checkSpanLeak(fn *ast.FuncDecl) {
 		}
 		if len(sv.endPos) == 0 {
 			c.report(sv.assignPos, "spanleak",
-				"span %s is started but never closed; call %s.Stop()/%s.End() or defer it",
-				sv.name, sv.name, sv.name)
+				"span %s is started but never closed; call %s.End() or defer it",
+				sv.name, sv.name)
 			continue
 		}
 		endChains := make([][]ast.Node, len(sv.endPos))
@@ -176,7 +177,7 @@ func (c *legacyChecker) checkSpanLeak(fn *ast.FuncDecl) {
 			}
 			if !closed {
 				c.report(ret.Pos(), "spanleak",
-					"return path abandons span %s without Stop/End (started at line %d)",
+					"return path abandons span %s without End (started at line %d)",
 					sv.name, c.fset.Position(sv.assignPos).Line)
 			}
 			return true
@@ -237,12 +238,12 @@ func chainPrefix(a, b []ast.Node) bool {
 	return true
 }
 
-// spanEndCallee returns the tracked span a Stop/End call closes, if any:
+// spanEndCallee returns the tracked span an End call closes, if any:
 // the call's receiver chain (sp.Int(...).End()) is unwound to its root
 // identifier and matched against the tracked locals.
 func (c *legacyChecker) spanEndCallee(call *ast.CallExpr, vars map[types.Object]*legacySpanVar) *legacySpanVar {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "Stop" && sel.Sel.Name != "End") {
+	if !ok || sel.Sel.Name != "End" {
 		return nil
 	}
 	id := legacyRootIdent(sel.X)

@@ -137,14 +137,14 @@ func SpanLeakNeverClosed(sc trace.Scope) {
 	sp.Event("tick")
 }
 
-// SpanLeakOnReturnPath closes the stage timer only on the happy path;
-// the error return abandons it and the stage never records.
-func SpanLeakOnReturnPath(h *obs.Hist, fail bool) error {
-	sp := h.Start()
+// SpanLeakOnReturnPath closes the stage only on the happy path; the
+// error return abandons it and the stage never records.
+func SpanLeakOnReturnPath(r *obs.Registry, sc trace.Scope, fail bool) error {
+	sp := r.Stage(sc, "stage")
 	if fail {
 		return fmt.Errorf("boom")
 	}
-	sp.Stop()
+	sp.End()
 	return nil
 }
 

@@ -177,15 +177,15 @@ func DeferredSpan(sc trace.Scope) {
 	sp.Event("tick")
 }
 
-// ClosedOnEveryPath ends the stage timer on both the error and the happy
+// ClosedOnEveryPath ends the stage on both the error and the happy
 // path.
-func ClosedOnEveryPath(h *obs.Hist, fail bool) error {
-	sp := h.Start()
+func ClosedOnEveryPath(r *obs.Registry, sc trace.Scope, fail bool) error {
+	sp := r.Stage(sc, "stage")
 	if fail {
-		sp.Stop()
+		sp.End()
 		return fmt.Errorf("boom")
 	}
-	sp.Stop()
+	sp.End()
 	return nil
 }
 

@@ -78,10 +78,10 @@ type Options struct {
 	// worker count.
 	Workers int
 	// Obs receives aux.shifts / aux.samples counters and the aux.sample
-	// stage timing; nil disables instrumentation at zero cost.
+	// stage histogram; nil records nothing.
 	Obs *obs.Registry
 	// Trace parents the sampler's span tree (aux.sample → aux.shift); the
-	// zero scope disables tracing at zero cost.
+	// zero scope records nothing, though aux.sample still reads the clock.
 	Trace trace.Scope
 }
 
@@ -97,10 +97,8 @@ func (o *Options) defaults() {
 // Sample draws from the auxiliary distribution of rel.
 func Sample(rel *dataset.Relation, opts Options) (*Binary, error) {
 	opts.defaults()
-	span := opts.Obs.Histogram("aux.sample").Start()
-	defer span.Stop()
-	tsp := opts.Trace.Start("aux.sample")
-	defer tsp.End()
+	sp := opts.Obs.Stage(opts.Trace, "aux.sample")
+	defer sp.End()
 	n := rel.NumRows()
 	if n < 2 {
 		return nil, fmt.Errorf("auxdist: need at least 2 rows, have %d", n)
@@ -132,7 +130,7 @@ func Sample(rel *dataset.Relation, opts Options) (*Binary, error) {
 			starts[si] = rng.Intn(n)
 		}
 	}
-	shared, err := par.Map(trace.ContextWithScope(context.Background(), opts.Trace.Under(tsp)),
+	shared, err := par.Map(trace.ContextWithScope(context.Background(), sp.Scope()),
 		opts.Workers, len(shifts),
 		func(ctx context.Context, si int) ([]edgeWord, error) {
 			ssp := trace.FromContext(ctx).Start("aux.shift").

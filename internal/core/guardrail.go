@@ -229,7 +229,7 @@ func (g *Guard) Apply(rel *dataset.Relation) (*Report, error) {
 	n := rel.NumRows()
 	asp := g.tr.Start("guard.apply").Str("strategy", g.strategy.String()).Str("engine", g.eng.Backend()).Int("rows", int64(n))
 	defer asp.End()
-	rsc := g.tr.Under(asp)
+	rsc := asp.Scope()
 	rep := &Report{Flagged: make([]bool, n)}
 	row := make([]int32, rel.NumAttrs())
 	for i := 0; i < n; i++ {

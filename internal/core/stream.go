@@ -28,7 +28,7 @@ type StreamStats struct {
 func (g *Guard) StreamCSV(r io.Reader, w io.Writer, schema *dataset.Relation) (*StreamStats, error) {
 	ssp := g.tr.Start("stream.csv").Str("strategy", g.strategy.String()).Str("engine", g.eng.Backend())
 	defer ssp.End()
-	rsc := g.tr.Under(ssp)
+	rsc := ssp.Scope()
 	cr, err := dataset.NewReader(r)
 	if err != nil {
 		return nil, err

@@ -183,7 +183,7 @@ func maxAttrOf(stmts []irStmt) int {
 func Compile(p *dsl.Program, opts Options) (*Prog, *Validation, error) {
 	csp := opts.Trace.Start("compile.program").Int("stmts", int64(len(p.Stmts)))
 	defer csp.End()
-	sc := opts.Trace.Under(csp)
+	sc := csp.Scope()
 
 	ir, err := buildIR(p)
 	if err != nil {

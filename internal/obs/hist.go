@@ -9,10 +9,12 @@ import (
 	"runtime"
 	"sync/atomic"
 	"time"
+
+	"github.com/guardrail-db/guardrail/internal/obs/trace"
 )
 
 // Hist is the exact mergeable latency histogram — the registry's only
-// histogram kind, backing both stage timers (via Start/Stop spans) and
+// histogram kind, backing both stage timers (via Registry.Stage) and
 // request latencies: a log-linear bucket layout over nanoseconds
 // (HDR-style) holding an exact count for every observation ever made, with
 // no sampling and no recency window.
@@ -192,28 +194,48 @@ func (h *Hist) ObserveShard(ticket int, v int64) {
 	s.count.Add(1)
 }
 
-// Span is an in-flight stage timing; Stop records the elapsed time into
-// the originating histogram. The zero Span (from a nil histogram) is a
-// no-op that never reads the clock.
+// Span is one open pipeline stage: the trace span and the histogram of
+// the same name, timed by one pair of clock reads. It does not embed
+// trace.Span, whose promoted Int(..).End() would skip the histogram.
 type Span struct {
+	sp trace.Span
 	h  *Hist
-	t0 time.Time
+	t0 time.Time // set only when sp is disabled
 }
 
-// Start opens a span on h.
-func (h *Hist) Start() Span {
-	if h == nil {
-		return Span{}
+// Stage opens the stage name: a trace span under sc and the histogram
+// name. A nil registry and a disabled scope record nothing, but the clock
+// is still read so End can report the elapsed time to its caller.
+func (r *Registry) Stage(sc trace.Scope, name string) Span {
+	s := Span{sp: sc.Start(name), h: r.Histogram(name)}
+	if !sc.Enabled() {
+		s.t0 = time.Now()
 	}
-	return Span{h: h, t0: time.Now()}
+	return s
 }
 
-// Stop closes the span, observes the elapsed duration, and returns it.
-func (s Span) Stop() time.Duration {
-	if s.h == nil {
-		return 0
+// Int attaches an integer attribute to the trace span; chainable.
+func (s Span) Int(key string, v int64) Span {
+	s.sp = s.sp.Int(key, v)
+	return s
+}
+
+// Str attaches a string attribute to the trace span; chainable.
+func (s Span) Str(key, v string) Span {
+	s.sp = s.sp.Str(key, v)
+	return s
+}
+
+// Scope returns a scope for child spans of the stage.
+func (s Span) Scope() trace.Scope { return s.sp.Scope() }
+
+// End closes the trace span, records the elapsed time in the histogram,
+// and returns it.
+func (s Span) End() time.Duration {
+	d := s.sp.End()
+	if !s.t0.IsZero() {
+		d = time.Since(s.t0)
 	}
-	d := time.Since(s.t0)
 	s.h.Observe(int64(d))
 	return d
 }

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/guardrail-db/guardrail/internal/obs/trace"
 )
 
 // TestNilSafety: every handle from a nil registry is a usable no-op.
@@ -27,9 +29,10 @@ func TestNilSafety(t *testing.T) {
 	}
 	h := r.Histogram("z")
 	h.Observe(42)
-	sp := h.Start()
-	if d := sp.Stop(); d != 0 {
-		t.Errorf("nil span Stop = %v, want 0", d)
+	sp := r.Stage(trace.Scope{}, "z")
+	time.Sleep(time.Millisecond)
+	if d := sp.End(); d < time.Millisecond {
+		t.Errorf("nil-registry stage End = %v, want the elapsed time (>= 1ms)", d)
 	}
 	snap := r.Snapshot()
 	if len(snap.Counters) != 0 || len(snap.Hists) != 0 {
@@ -37,6 +40,46 @@ func TestNilSafety(t *testing.T) {
 	}
 	if s := r.StageSummary(); s != "" {
 		t.Errorf("nil registry StageSummary = %q, want empty", s)
+	}
+}
+
+// TestStageOneClock: a stage's End, its histogram sum and its trace
+// record's Dur are one measurement, also through a chained attribute
+// call; with the scope off the histogram still gets End's duration, and
+// with a nil registry and a zero scope End still times, without
+// allocating.
+func TestStageOneClock(t *testing.T) {
+	r := New()
+	tr := trace.New(1)
+	sp := r.Stage(tr.Root(), "stage").Int("k", 1).Str("s", "v")
+	time.Sleep(time.Millisecond)
+	d := sp.End()
+	recs := tr.Records()
+	if len(recs) != 1 || recs[0].Name != "stage" || len(recs[0].Attrs) != 2 {
+		t.Fatalf("trace records = %+v, want one stage span with 2 attrs", recs)
+	}
+	h := r.Histogram("stage").Snapshot("stage")
+	if d < time.Millisecond || recs[0].Dur != int64(d) || h.Count != 1 || h.SumNS != int64(d) {
+		t.Errorf("End = %d ns, trace Dur = %d ns, hist count %d sum %d ns; want one duration >= 1ms",
+			d, recs[0].Dur, h.Count, h.SumNS)
+	}
+
+	d = r.Stage(trace.Scope{}, "untraced").End()
+	if h := r.Histogram("untraced").Snapshot("untraced"); h.Count != 1 || h.SumNS != int64(d) {
+		t.Errorf("untraced stage: End = %d ns, hist count %d sum %d ns", d, h.Count, h.SumNS)
+	}
+
+	var off *Registry
+	sp = off.Stage(trace.Scope{}, "stage")
+	time.Sleep(time.Millisecond)
+	if d := sp.End(); d < time.Millisecond {
+		t.Errorf("disabled stage End = %v, want the elapsed time (>= 1ms)", d)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		off.Stage(trace.Scope{}, "stage").Int("k", 1).End()
+	})
+	if allocs != 0 {
+		t.Errorf("disabled stage allocates %v per op, want 0", allocs)
 	}
 }
 
@@ -63,9 +106,9 @@ func TestCounterGaugeBasics(t *testing.T) {
 // TestSpan records a plausible duration.
 func TestSpan(t *testing.T) {
 	r := New()
-	sp := r.Histogram("work").Start()
+	sp := r.Stage(trace.Scope{}, "work")
 	time.Sleep(time.Millisecond)
-	d := sp.Stop()
+	d := sp.End()
 	if d < time.Millisecond {
 		t.Errorf("span duration %v < 1ms", d)
 	}
@@ -192,8 +235,8 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 		c.Add(3)
 		g.Set(1)
 		h.Observe(5)
-		sp := h.Start()
-		sp.Stop()
+		sp := r.Stage(trace.Scope{}, "h").Int("k", 1)
+		sp.End()
 	})
 	if allocs != 0 {
 		t.Errorf("disabled hot path allocates %v per op, want 0", allocs)
@@ -236,10 +279,9 @@ func BenchmarkCounterEnabled(b *testing.B) {
 
 func BenchmarkSpanDisabled(b *testing.B) {
 	var r *Registry
-	h := r.Histogram("h")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		h.Start().Stop()
+		r.Stage(trace.Scope{}, "h").End()
 	}
 }
 

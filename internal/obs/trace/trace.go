@@ -296,15 +296,6 @@ func (s Scope) Lane() *Lane { return s.lane }
 // Start opens a span named name under the scope's parent.
 func (s Scope) Start(name string) Span { return s.lane.start(name, s.parent) }
 
-// Under rebinds the scope's parent to sp, keeping the lane. Children of a
-// disabled span stay disabled even if the scope's lane was live.
-func (s Scope) Under(sp Span) Scope {
-	if sp.lane == nil {
-		return Scope{}
-	}
-	return Scope{lane: s.lane, parent: sp.id}
-}
-
 // OnLane moves the scope to another lane, keeping the parent — how the
 // worker pool attributes a task's spans to the worker that ran it.
 func (s Scope) OnLane(l *Lane) Scope {

@@ -24,7 +24,7 @@ func TestDisabledZeroAlloc(t *testing.T) {
 		sp.Event("tick")
 		sc.Event("hit")
 		sc.EventStr("miss", "key", "abc")
-		child := sc.Under(sp).OnLane(tr.Lane(3))
+		child := sp.Scope().OnLane(tr.Lane(3))
 		child.Start("inner").End()
 		c2 := ContextWithScope(ctx, sc)
 		_ = FromContext(c2)
@@ -41,7 +41,7 @@ func TestSpanTree(t *testing.T) {
 	tr := New(2)
 	root := tr.Root()
 	outer := root.Start("outer").Int("size", 7)
-	inner := root.Under(outer).Start("inner")
+	inner := outer.Scope().Start("inner")
 	inner.Event("checkpoint")
 	time.Sleep(time.Millisecond)
 	inner.End()
@@ -129,7 +129,7 @@ func TestLaneStress(t *testing.T) {
 			sc := tr.Lane(w + 1).Scope(0)
 			for i := 0; i < spansPer; i++ {
 				sp := sc.Start("task").Int("i", int64(i))
-				sc.Under(sp).Start("sub").End()
+				sp.Scope().Start("sub").End()
 				sp.Event("tick")
 				sp.End()
 			}
@@ -161,7 +161,7 @@ func TestWriteChrome(t *testing.T) {
 	tr := New(2)
 	root := tr.Root()
 	outer := root.Start("outer")
-	root.Under(outer).Start("inner").End()
+	outer.Scope().Start("inner").End()
 	outer.Scope().Event("blip")
 	outer.End()
 	tr.Lane(1).Scope(0).Start("dangling") // never ended

@@ -149,7 +149,7 @@ func (p *Pool[T]) run(it item[T], ctx context.Context, sc trace.Scope) {
 			p.cancel()
 		}
 	}()
-	v, err := it.fn(trace.ContextWithScope(ctx, sc.Under(sp)))
+	v, err := it.fn(trace.ContextWithScope(ctx, sp.Scope()))
 	if err != nil {
 		it.cell.err = err
 		p.fail(err)

@@ -34,11 +34,11 @@ type Options struct {
 	// a fixed edge order.
 	Workers int
 	// Obs receives pc.ci_tests / pc.edges_removed counters and the
-	// pc.learn stage timing; nil disables instrumentation at zero cost.
+	// pc.learn stage histogram; nil records nothing.
 	Obs *obs.Registry
 	// Trace parents the learner's span tree (pc.learn → pc.level →
-	// pc.edge); the zero scope disables tracing at zero cost. Timings are
-	// wall-clock and never feed back into results.
+	// pc.edge); the zero scope records nothing, though pc.learn still
+	// reads the clock twice. Timings never feed back into results.
 	Trace trace.Scope
 }
 
@@ -116,12 +116,10 @@ func LearnWarm(t stats.CITester, prev *Result, dirty []bool, opts Options) (*Res
 // variant described on LearnWarm.
 func learn(t stats.CITester, prev *Result, dirty []bool, opts Options) (*Result, error) {
 	opts.defaults()
-	span := opts.Obs.Histogram("pc.learn").Start()
-	defer span.Stop()
 	n := t.NumVars()
-	tsp := opts.Trace.Start("pc.learn").Int("vars", int64(n))
-	defer tsp.End()
-	lsc := opts.Trace.Under(tsp)
+	sp := opts.Obs.Stage(opts.Trace, "pc.learn").Int("vars", int64(n))
+	defer sp.End()
+	lsc := sp.Scope()
 	if n == 0 {
 		return nil, fmt.Errorf("pc: no variables")
 	}
@@ -176,7 +174,7 @@ func learn(t stats.CITester, prev *Result, dirty []bool, opts Options) (*Result,
 		// snapshot concurrently — decisions are independent because no
 		// deletion is applied until the level barrier below.
 		lsp := lsc.Start("pc.level").Int("level", int64(level)).Int("edges", int64(len(edges)))
-		decisions, err := par.Map(trace.ContextWithScope(context.Background(), lsc.Under(lsp)),
+		decisions, err := par.Map(trace.ContextWithScope(context.Background(), lsp.Scope()),
 			opts.Workers, len(edges),
 			func(ctx context.Context, k int) (edgeDecision, error) {
 				esp := trace.FromContext(ctx).Start("pc.edge").

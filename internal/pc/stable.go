@@ -97,13 +97,13 @@ func LearnStable(d stats.Data, opts StableOptions) (*Result, error) {
 	// learner also starts spans.
 	roundOpts := opts.Options
 	roundOpts.Workers = 1
-	results, err := par.Map(trace.ContextWithScope(context.Background(), opts.Trace.Under(tsp)),
+	results, err := par.Map(trace.ContextWithScope(context.Background(), tsp.Scope()),
 		opts.Workers, opts.Rounds,
 		func(ctx context.Context, round int) (*Result, error) {
 			sc := trace.FromContext(ctx)
 			rsp := sc.Start("pc.round").Int("round", int64(round))
 			ro := roundOpts
-			ro.Trace = sc.Under(rsp)
+			ro.Trace = rsp.Scope()
 			res, rerr := Learn(samples[round], ro)
 			rsp.End()
 			return res, rerr
@@ -126,7 +126,7 @@ func LearnStable(d stats.Data, opts StableOptions) (*Result, error) {
 	}
 	// Full-data pass supplies sepsets and the tie-breaking skeleton.
 	fullOpts := opts.Options
-	fullOpts.Trace = opts.Trace.Under(tsp)
+	fullOpts.Trace = tsp.Scope()
 	full, err := Learn(d, fullOpts)
 	if err != nil {
 		return nil, err

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // syncBuffer is a goroutine-safe bytes.Buffer for capturing the access
@@ -145,8 +146,13 @@ func TestAccessLogRejected(t *testing.T) {
 	if _, err := pw.Write([]byte(`{"PostalCode":"94704","City":"Berkeley"}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-verdict; err != nil {
-		t.Fatalf("stalled request's first verdict: %v", err)
+	select {
+	case err := <-verdict:
+		if err != nil {
+			t.Fatalf("stalled request's first verdict: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no verdict within 5s while the stalled request's body is open")
 	}
 
 	rej, err := http.NewRequest("POST", ts.URL+"/v1/check?dataset=postal", strings.NewReader(`{}`))
@@ -410,38 +416,47 @@ func TestStatusWriterFlush(t *testing.T) {
 	defer ts.Close()
 
 	pr, pw := io.Pipe()
+	defer pw.Close() // un-stalls the server before ts.Close waits on it
 	req, err := http.NewRequest("POST", ts.URL+"/v1/check?dataset=postal", pr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/x-ndjson")
-	resp, errc := func() (*http.Response, chan error) {
-		errc := make(chan error, 1)
-		respc := make(chan *http.Response, 1)
-		go func() {
-			resp, err := http.DefaultClient.Do(req)
-			respc <- resp
-			errc <- err
-		}()
-		if _, err := pw.Write([]byte(`{"PostalCode":"94704","City":"Oakland"}` + "\n")); err != nil {
-			t.Fatal(err)
+	type read struct {
+		line []byte
+		err  error
+	}
+	first := make(chan read, 1)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			first <- read{err: err}
+			return
 		}
-		return <-respc, errc
+		defer resp.Body.Close()
+		line := make([]byte, 4096)
+		n, err := resp.Body.Read(line)
+		first <- read{line[:n], err}
+		_, _ = io.Copy(io.Discard, resp.Body)
 	}()
-	if err := <-errc; err != nil {
+	if _, err := pw.Write([]byte(`{"PostalCode":"94704","City":"Oakland"}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
 	// The first verdict must be readable while the request body is still
 	// open — proof the flush reached the wire.
-	line := make([]byte, 4096)
-	n, err := resp.Body.Read(line)
-	if err != nil {
-		t.Fatalf("reading first verdict: %v", err)
-	}
-	if !bytes.Contains(line[:n], []byte(`"flagged":true`)) {
-		t.Errorf("first verdict = %q", line[:n])
+	select {
+	case r := <-first:
+		if r.err != nil {
+			t.Fatalf("reading first verdict: %v", r.err)
+		}
+		if !bytes.Contains(r.line, []byte(`"flagged":true`)) {
+			t.Errorf("first verdict = %q", r.line)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no verdict within 5s while the request body is open")
 	}
 	_ = pw.Close()
-	_, _ = io.Copy(io.Discard, resp.Body)
-	_ = resp.Body.Close()
+	<-done
 }

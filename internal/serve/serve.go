@@ -218,7 +218,7 @@ func (s *Server) gated(endpoint string, hist *obs.Hist, h func(http.ResponseWrit
 			sc := s.requestScope(slot)
 			sp := sc.Start("serve."+endpoint).Str("method", r.Method).Str("path", r.URL.Path).Str("request", rc.id)
 			defer sp.End()
-			rc.Scope = sc.Under(sp)
+			rc.Scope = sp.Scope()
 			rc.slot = slot
 			h(sw, r, rc)
 

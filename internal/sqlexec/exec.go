@@ -76,11 +76,11 @@ type Env struct {
 	// are evaluated before any model call.
 	DisablePushdown bool
 	// Obs receives sql.* counters and the sql.guard / sql.inference stage
-	// timings; nil disables instrumentation at zero cost.
+	// histograms; nil records nothing.
 	Obs *obs.Registry
 	// Trace parents the executor's span tree (sql.query → sql.guard /
-	// sql.scan / sql.predict); the zero scope disables tracing at zero
-	// cost.
+	// sql.scan / sql.inference); the zero scope records nothing, though
+	// those two stages still read the clock for Stats' timing fields.
 	Trace trace.Scope
 }
 
@@ -361,7 +361,7 @@ func (ex *executor) run(q *Query) (*Result, error) {
 	reg.Counter("sql.rows_scanned").Add(int64(n))
 	qsp := ex.env.Trace.Start("sql.query").Int("rows", int64(n))
 	defer qsp.End()
-	tsc := ex.env.Trace.Under(qsp)
+	tsc := qsp.Scope()
 
 	// Stage 0: guard interception — every incoming row is vetted before
 	// anything downstream sees it (Example 1.2). Work on copies so Coerce
@@ -386,17 +386,14 @@ func (ex *executor) run(q *Query) (*Result, error) {
 				reg.Counter("sql.guard_jit").Inc()
 			}
 		}
-		t0 := time.Now()
-		gsp := tsc.Start("sql.guard").Str("engine", ex.env.Guard.Engine().Backend())
+		gsp := reg.Stage(tsc, "sql.guard").Str("engine", ex.env.Guard.Engine().Backend())
 		for i := 0; i < n; i++ {
 			if _, _, err := ex.env.Guard.Step(ex.row(i)); err != nil {
 				gsp.End()
 				return nil, fmt.Errorf("sqlexec: guard: %w", err)
 			}
 		}
-		gsp.End()
-		ex.stats.GuardTime = time.Since(t0)
-		reg.Histogram("sql.guard").Observe(int64(ex.stats.GuardTime))
+		ex.stats.GuardTime = gsp.End()
 	}
 
 	// Stage 1: predicate pushdown — evaluate prediction-free conjuncts
@@ -440,16 +437,12 @@ func (ex *executor) run(q *Query) (*Result, error) {
 	for slot, label := range ex.labels {
 		model := ex.env.Models[label]
 		col := make([]int32, n)
-		t0 := time.Now()
-		msp := tsc.Start("sql.predict").Str("label", label).Int("rows", int64(len(live)))
+		msp := reg.Stage(tsc, "sql.inference").Str("label", label).Int("rows", int64(len(live)))
 		for _, i := range live {
 			col[i] = model.Predict(ex.row(i))
 			ex.stats.PredictCalls++
 		}
-		msp.End()
-		dt := time.Since(t0)
-		ex.stats.InferenceTime += dt
-		reg.Histogram("sql.inference").Observe(int64(dt))
+		ex.stats.InferenceTime += msp.End()
 		ex.preds[slot] = col
 	}
 	reg.Counter("sql.predict_calls").Add(int64(ex.stats.PredictCalls))

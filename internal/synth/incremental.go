@@ -182,13 +182,13 @@ func (inc *Incremental) flushWindow() ([]ChangeEvent, error) {
 	sp := inc.opts.Synth.Trace.Start("drift.window").
 		Int("lo", int64(inc.dropped+lo)).Int("hi", int64(row))
 	defer sp.End()
-	hsp := obsReg.Histogram("drift.window_merge").Start()
+	msp := obsReg.Stage(sp.Scope(), "drift.window_merge")
 	win := incr.FromRows(auxdist.Identity(inc.rel), lo, hi)
-	if _, err := inc.ring.Push(win); err != nil {
-		hsp.Stop()
+	_, err := inc.ring.Push(win)
+	msp.End()
+	if err != nil {
 		return nil, fmt.Errorf("synth: window merge: %w", err)
 	}
-	hsp.Stop()
 	inc.start = hi
 	inc.trim()
 	inc.windows++

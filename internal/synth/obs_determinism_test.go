@@ -3,9 +3,11 @@ package synth_test
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"github.com/guardrail-db/guardrail/internal/bn"
 	"github.com/guardrail-db/guardrail/internal/obs"
+	"github.com/guardrail-db/guardrail/internal/obs/trace"
 	"github.com/guardrail-db/guardrail/internal/synth"
 )
 
@@ -39,6 +41,34 @@ func TestObsCountersDeterministicAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{4, 8} {
 		if got := run(workers); !reflect.DeepEqual(got, serial) {
 			t.Errorf("workers=%d counters differ from serial:\nserial: %v\ngot:    %v", workers, serial, got)
+		}
+	}
+}
+
+// TestStageTimesAgree: each synth stage's Result timing field, its trace
+// span's Dur and its histogram's sum are one measurement.
+func TestStageTimesAgree(t *testing.T) {
+	rel, err := bn.PostalChain(8).Sample(1500, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, tr := obs.New(), trace.New(2)
+	res, err := synth.Synthesize(rel, synth.Options{Seed: 3, Workers: 2, Obs: reg, Trace: tr.Root()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	durs := map[string]int64{}
+	for _, r := range tr.Records() {
+		durs[r.Name] = r.Dur
+	}
+	for _, c := range []struct {
+		stage string
+		got   time.Duration
+	}{{"synth.learn", res.LearnTime}, {"synth.enum", res.EnumTime}, {"synth.fill", res.FillTime}} {
+		h := reg.Histogram(c.stage).Snapshot(c.stage)
+		if c.got <= 0 || durs[c.stage] != int64(c.got) || h.Count != 1 || h.SumNS != int64(c.got) {
+			t.Errorf("%s: Result %d ns, trace Dur %d ns, hist count %d sum %d ns; want one duration",
+				c.stage, c.got, durs[c.stage], h.Count, h.SumNS)
 		}
 	}
 }

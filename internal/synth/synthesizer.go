@@ -58,14 +58,16 @@ type Options struct {
 	// synthesized program is byte-identical at every worker count.
 	Workers int
 	// Obs receives pipeline counters (synth.*, pc.*, aux.*) and stage
-	// timings (synth.learn/enum/fill); nil disables instrumentation at
-	// zero cost. Counter content is schedule-independent: identical at
-	// every worker count on the same seed.
+	// histograms (synth.learn/enum/fill), also for a stage that ends on
+	// an error; nil records nothing. Counter content is
+	// schedule-independent: identical at every worker count on the same
+	// seed.
 	Obs *obs.Registry
 	// Trace parents the pipeline's span tree (synth.run → stage spans →
 	// per-DAG / per-edge / per-shift work, attributed to worker lanes); the
-	// zero scope disables tracing at zero cost. Spans record wall-clock
-	// only and never influence the synthesized program.
+	// zero scope records nothing, though each stage still reads the clock
+	// twice for Result's timing fields. Spans record wall-clock only and
+	// never influence the synthesized program.
 	Trace trace.Scope
 	// CI overrides the structure learner's test provider. When set, PC
 	// draws its G² tests from here — typically a merged windowed
@@ -148,11 +150,10 @@ func Synthesize(rel *dataset.Relation, opts Options) (*Result, error) {
 	opts.Obs.Gauge("synth.workers").Set(int64(opts.Workers))
 	run := opts.Trace.Start("synth.run").Int("workers", int64(opts.Workers))
 	defer run.End()
-	stage := opts.Trace.Under(run)
+	stage := run.Scope()
 
 	// Stage 1: structure learning.
-	t0 := time.Now()
-	lsp := stage.Start("synth.learn")
+	lsp := opts.Obs.Stage(stage, "synth.learn")
 	var data stats.Data
 	if opts.IdentitySampler {
 		data = auxdist.Identity(rel)
@@ -163,7 +164,7 @@ func Synthesize(rel *dataset.Relation, opts Options) (*Result, error) {
 			Seed:       opts.Seed,
 			Workers:    opts.Workers,
 			Obs:        opts.Obs,
-			Trace:      stage.Under(lsp),
+			Trace:      lsp.Scope(),
 		})
 		if err != nil {
 			lsp.End()
@@ -176,7 +177,7 @@ func Synthesize(rel *dataset.Relation, opts Options) (*Result, error) {
 		ci = stats.Tester(data)
 	}
 	pcOpts := pc.Options{Alpha: opts.Alpha, MaxCond: opts.MaxCond,
-		Workers: opts.Workers, Obs: opts.Obs, Trace: stage.Under(lsp)}
+		Workers: opts.Workers, Obs: opts.Obs, Trace: lsp.Scope()}
 	var learned *pc.Result
 	var err error
 	if opts.WarmStart != nil {
@@ -184,20 +185,16 @@ func Synthesize(rel *dataset.Relation, opts Options) (*Result, error) {
 	} else {
 		learned, err = pc.LearnFrom(ci, pcOpts)
 	}
+	res.LearnTime = lsp.End()
 	if err != nil {
-		lsp.End()
 		return nil, fmt.Errorf("synth: structure learning: %w", err)
 	}
-	lsp.End()
 	res.CPDAG = learned.CPDAG
 	res.CITests = learned.Tests
 	res.Learned = learned
-	res.LearnTime = time.Since(t0)
-	opts.Obs.Histogram("synth.learn").Observe(int64(res.LearnTime))
 
 	// Stage 2: MEC enumeration (Alg. 2 outer loop).
-	t1 := time.Now()
-	esp := stage.Start("synth.enum")
+	esp := opts.Obs.Stage(stage, "synth.enum")
 	dags, err := graph.EnumerateMEC(learned.CPDAG, opts.MaxDAGs)
 	if err == graph.ErrEnumLimit {
 		res.EnumTruncated = true
@@ -205,19 +202,16 @@ func Synthesize(rel *dataset.Relation, opts Options) (*Result, error) {
 		esp.End()
 		return nil, fmt.Errorf("synth: MEC enumeration: %w", err)
 	}
-	esp.Int("dags", int64(len(dags))).End()
+	res.EnumTime = esp.Int("dags", int64(len(dags))).End()
 	res.NumDAGs = len(dags)
-	res.EnumTime = time.Since(t1)
 	opts.Obs.Counter("synth.dags").Add(int64(res.NumDAGs))
-	opts.Obs.Histogram("synth.enum").Observe(int64(res.EnumTime))
 
 	// Stage 3: fill sketches and pick the maximum-coverage program.
-	t2 := time.Now()
-	fsp := stage.Start("synth.fill")
+	fsp := opts.Obs.Stage(stage, "synth.fill")
 	selOpts := opts
-	selOpts.Trace = stage.Under(fsp)
+	selOpts.Trace = fsp.Scope()
 	sel, err := SelectProgram(rel, dags, data, selOpts)
-	fsp.End()
+	res.FillTime = fsp.End()
 	if err != nil {
 		return nil, fmt.Errorf("synth: program selection: %w", err)
 	}
@@ -227,8 +221,6 @@ func Synthesize(rel *dataset.Relation, opts Options) (*Result, error) {
 	res.DedupedPrograms = sel.DedupedPrograms
 	res.SolverCalls = sel.SolverCalls
 	res.CacheHits, res.CacheMisses = sel.CacheHits, sel.CacheMisses
-	res.FillTime = time.Since(t2)
-	opts.Obs.Histogram("synth.fill").Observe(int64(res.FillTime))
 	return res, nil
 }
 
@@ -282,7 +274,7 @@ func SelectProgram(rel *dataset.Relation, dags []*graph.DAG, data stats.Data, op
 		opts.Workers, len(dags),
 		func(ctx context.Context, k int) (candidate, error) {
 			dsp := trace.FromContext(ctx).Start("synth.dag").Int("dag", int64(k))
-			dctx := trace.ContextWithScope(ctx, trace.FromContext(ctx).Under(dsp))
+			dctx := trace.ContextWithScope(ctx, dsp.Scope())
 			sk := sketch.FromDAG(dags[k])
 			if !opts.SkipGNT {
 				sk = pruneNonLNT(dctx, sk, data, opts.Alpha, lnt)

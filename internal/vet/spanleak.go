@@ -5,7 +5,7 @@ package vet
 // prefixes — a close dominates a return only when every conditional
 // construct the close sits in also encloses the return. That is exactly
 // CFG dominance, computed here for real: a return path abandons a span
-// unless some Stop/End node dominates the return node. The migration is
+// unless some End node dominates the return node. The migration is
 // proved by cmd/vetguard's oracle test, which runs the original
 // chain-prefix implementation side by side on the fixtures and asserts
 // byte-identical findings.
@@ -20,13 +20,13 @@ import (
 func init() {
 	register(Check{
 		Name: "spanleak",
-		Doc:  "span started but abandoned on some return path without Stop/End",
+		Doc:  "span started but abandoned on some return path without End",
 		Run:  runSpanLeak,
 	})
 }
 
 // isSpanType reports whether t is one of the observability span value
-// types — obs.Span (stage timer) or trace.Span (trace-tree node).
+// types — obs.Span (pipeline stage) or trace.Span (trace-tree node).
 // Matched by package-path suffix so the testdata fixtures (whose import
 // paths are prefixed with the fixture directory) resolve the same way
 // as real code.
@@ -54,17 +54,17 @@ type spanVar struct {
 	obj       types.Object
 	name      string
 	assignPos token.Pos
-	deferred  bool        // defer sp.Stop() / defer sp.End() anywhere
+	deferred  bool        // defer sp.End() anywhere
 	returned  bool        // sp appears in a return value: ownership moves out
-	endPos    []token.Pos // every non-deferred Stop/End call position
+	endPos    []token.Pos // every non-deferred End call position
 	endNodes  []*Node     // CFG nodes of the ends lexically in this body
 }
 
 // runSpanLeak flags span-typed locals received from a call (obs's
-// Hist.Start, trace's Scope.Start, ...) that some path through the
-// function abandons without Stop/End: an unclosed obs span never
-// records its stage duration, and an unclosed trace span exports as an
-// unfinished record with no duration. A span is accounted for when it
+// Registry.Stage, trace's Scope.Start, ...) that some path through the
+// function abandons without End: an unclosed obs stage never records
+// its duration, and an unclosed trace span exports as an unfinished
+// record with no duration. A span is accounted for when it
 // is closed by a defer, closed on the way to each subsequent return
 // statement, or handed to the caller in a return value. Chained
 // attribute calls (sp.Int(...).End()) count — the receiver chain is
@@ -158,8 +158,8 @@ func (p *Pass) spanLeakBody(body *ast.BlockStmt) {
 		}
 		if len(sv.endPos) == 0 {
 			p.Reportf(sv.assignPos, "spanleak",
-				"span %s is started but never closed; call %s.Stop()/%s.End() or defer it",
-				sv.name, sv.name, sv.name)
+				"span %s is started but never closed; call %s.End() or defer it",
+				sv.name, sv.name)
 			continue
 		}
 		scope := sv.obj.Parent()
@@ -183,7 +183,7 @@ func (p *Pass) spanLeakBody(body *ast.BlockStmt) {
 			}
 			if !closed {
 				p.Reportf(ret.Pos(), "spanleak",
-					"return path abandons span %s without Stop/End (started at line %d)",
+					"return path abandons span %s without End (started at line %d)",
 					sv.name, p.Fset.Position(sv.assignPos).Line)
 			}
 		}
@@ -207,12 +207,12 @@ func insideNestedLit(body *ast.BlockStmt, pos token.Pos) bool {
 	return found
 }
 
-// spanEndCallee returns the tracked span a Stop/End call closes, if
+// spanEndCallee returns the tracked span an End call closes, if
 // any: the call's receiver chain (sp.Int(...).End()) is unwound to its
 // root identifier and matched against the tracked locals.
 func (p *Pass) spanEndCallee(call *ast.CallExpr, vars map[types.Object]*spanVar) *spanVar {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "Stop" && sel.Sel.Name != "End") {
+	if !ok || sel.Sel.Name != "End" {
 		return nil
 	}
 	id := rootIdent(sel.X)
