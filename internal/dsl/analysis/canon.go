@@ -95,27 +95,62 @@ func Canon(p *dsl.Program, dom sat.Domains) (string, int64) {
 	s := sat.NewSolver(widen(dom, p))
 	var b strings.Builder
 	for _, st := range p.Stmts {
-		live := liveMask(s, st)
-		if !hasLive(live) {
-			continue // no-op statement
-		}
-		fmt.Fprintf(&b, "S%d[", st.On)
-		for bi, br := range st.Branches {
-			if !live[bi] {
-				continue
-			}
-			b.WriteByte('(')
-			for ai, atom := range canonAtoms(br.Cond) {
-				if ai > 0 {
-					b.WriteByte('&')
-				}
-				fmt.Fprintf(&b, "%d=%d", atom.Attr, atom.Value)
-			}
-			fmt.Fprintf(&b, ">%d)", br.Value)
-		}
-		b.WriteByte(']')
+		b.WriteString(CanonStatement(s, st))
 	}
 	return b.String(), s.Calls()
+}
+
+// CanonStatement returns st's fragment of the canonical form, deciding
+// branch liveness with s; a no-op statement's fragment is empty. Canon(p,
+// dom) is the concatenation of the fragments of p's statements over
+// sat.NewSolver(widen(dom, p)). When every statement of p is
+// WithinDomains(st, dom), widen(dom, p) has dom's cardinalities, so each
+// fragment can be computed once over sat.NewSolver(dom) and shared by
+// every program that contains the statement.
+func CanonStatement(s *sat.Solver, st dsl.Statement) string {
+	live := liveMask(s, st)
+	if !hasLive(live) {
+		return "" // no-op statement
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "S%d[", st.On)
+	for bi, br := range st.Branches {
+		if !live[bi] {
+			continue
+		}
+		b.WriteByte('(')
+		for ai, atom := range canonAtoms(br.Cond) {
+			if ai > 0 {
+				b.WriteByte('&')
+			}
+			fmt.Fprintf(&b, "%d=%d", atom.Attr, atom.Value)
+		}
+		fmt.Fprintf(&b, ">%d)", br.Value)
+	}
+	b.WriteByte(']')
+	return b.String()
+}
+
+// WithinDomains reports whether every literal st mentions is already in
+// dom, so that widening cannot raise a domain on st's account: each
+// literal is negative (Missing, which widening ignores), names an
+// unbounded attribute, or is below its attribute's cardinality.
+func WithinDomains(st dsl.Statement, dom sat.Domains) bool {
+	in := func(a int, v int32) bool {
+		card := dom.Card(a)
+		return v < 0 || card == 0 || int(v) < card
+	}
+	for _, b := range st.Branches {
+		if !in(st.On, b.Value) {
+			return false
+		}
+		for _, pr := range b.Cond {
+			if !in(pr.Attr, pr.Value) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // canonAtoms sorts a guard's atoms by (attr, value) and drops exact

@@ -102,6 +102,9 @@ func FuzzAnalysis(f *testing.F) {
 			}
 		}
 
+		// Per-statement fragments assemble the canonical form.
+		checkFragments(t, p1, dom)
+
 		// Equal canonical forms must mean equal behavior on every base row.
 		c1, _ := Canon(p1, dom)
 		c2, _ := Canon(p2, dom)

@@ -26,15 +26,26 @@ func Verify(p *dsl.Program, rel *dataset.Relation) []Finding {
 	// algebra, preserving the historical conjunction-only verdicts.
 	slv := sat.NewSolver(nil)
 	for si := range p.Stmts {
-		out = append(out, checkStatement(slv, p, si, rel)...)
+		out = append(out, checkStatement(slv, &p.Stmts[si], si, rel)...)
 	}
 	out = append(out, checkCycles(p, rel)...)
 	sortFindings(out)
 	return out
 }
 
-func checkStatement(slv *sat.Solver, p *dsl.Program, si int, rel *dataset.Relation) []Finding {
-	s := &p.Stmts[si]
+// StatementHasErrors reports whether Verify raises an Error on statement
+// st, wherever st sits in its program. A statement's findings depend on
+// the statement and rel alone, and checkCycles, the only check that looks
+// across statements, emits Warnings only. HasErrors(Verify(p, rel)) is
+// therefore the OR of StatementHasErrors over p's statements, which lets
+// the synthesizer verify each distinct filled statement once.
+func StatementHasErrors(st *dsl.Statement, rel *dataset.Relation) bool {
+	return HasErrors(checkStatement(sat.NewSolver(nil), st, 0, rel))
+}
+
+// checkStatement runs the per-statement checks on s, reporting findings
+// at statement index si.
+func checkStatement(slv *sat.Solver, s *dsl.Statement, si int, rel *dataset.Relation) []Finding {
 	var out []Finding
 
 	// Self-dependency: ON inside GIVEN.

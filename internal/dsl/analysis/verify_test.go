@@ -300,7 +300,8 @@ func TestAcyclicChainHasNoCycleFinding(t *testing.T) {
 // FuzzVerify decodes arbitrary bytes into a program (mirroring the grammar
 // the way dsl.FuzzParse mirrors the surface syntax) and asserts the
 // verifier never panics and anchors every finding inside the program —
-// even on programs whose indices stray outside the schema.
+// even on programs whose indices stray outside the schema — and that its
+// Error verdict is the OR of the per-statement verdicts.
 func FuzzVerify(f *testing.F) {
 	f.Add([]byte{1, 1, 0, 1, 1, 0, 0})
 	f.Add([]byte{2, 1, 0, 1, 2, 0, 0, 1, 0, 0, 1, 1, 1, 0, 2, 1, 1, 0})
@@ -313,6 +314,7 @@ func FuzzVerify(f *testing.F) {
 		rel.AppendRow([]string{"1", "1", "1", "1"})
 
 		for _, r := range []*dataset.Relation{rel, nil} {
+			checkStatementErrors(t, prog, r)
 			fs := Verify(prog, r)
 			for _, fd := range fs {
 				if fd.Stmt < 0 || fd.Stmt >= len(prog.Stmts) {

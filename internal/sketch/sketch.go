@@ -89,16 +89,23 @@ func compose(d stats.Data, attrs []int) (*composite, error) {
 			return nil, fmt.Errorf("sketch: composite cardinality overflow for %v", attrs)
 		}
 	}
+	// Each member's column and cardinality are read once, not per cell:
+	// both are interface calls, and Codes may also pass a sync.Once.
+	cols := make([][]int32, len(attrs))
+	cards := make([]int32, len(attrs))
+	for i, a := range attrs {
+		cols[i], cards[i] = d.Codes(a), int32(d.Card(a))
+	}
 	n := d.N()
 	col := make([]int32, n)
 	for r := 0; r < n; r++ {
 		var key int32
-		for _, a := range attrs {
-			c := d.Codes(a)[r]
+		for i, codes := range cols {
+			c := codes[r]
 			if c < 0 {
-				c = int32(d.Card(a))
+				c = cards[i]
 			}
-			key = key*int32(d.Card(a)+1) + c
+			key = key*(cards[i]+1) + c
 		}
 		col[r] = key
 	}

@@ -24,9 +24,9 @@ func FuzzSolver(f *testing.F) {
 	// plus two-atom clauses pinning a=1/a=2 against x's whole domain.
 	f.Add([]byte{
 		2, 2, 1, 1, // 3 attrs, domains 3,2,2
-		0,             // pos: TRUE
-		3,             // m1: 3 conjuncts
-		1, 0, 1,       // {a=0}
+		0,       // pos: TRUE
+		3,       // m1: 3 conjuncts
+		1, 0, 1, // {a=0}
 		2, 1, 1, 1, 2, // {b=0 ∧ b=1}
 		2, 0, 2, 2, 1, // {a=1 ∧ x=0}
 		3,             // m2: 3 conjuncts
