@@ -1,7 +1,9 @@
 package synth
 
 import (
+	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -9,7 +11,9 @@ import (
 	"github.com/guardrail-db/guardrail/internal/bn"
 	"github.com/guardrail-db/guardrail/internal/dataset"
 	"github.com/guardrail-db/guardrail/internal/dsl"
+	"github.com/guardrail-db/guardrail/internal/dsl/analysis"
 	"github.com/guardrail-db/guardrail/internal/sketch"
+	"github.com/guardrail-db/guardrail/internal/smt/sat"
 )
 
 // formatStmt renders one statement for comparison.
@@ -19,10 +23,28 @@ func formatStmt(s dsl.Statement, rel *dataset.Relation) string {
 	return b.String()
 }
 
+// oracleEntry is the statement-cache entry sk must get, computed without
+// the cache by the whole-program functions its verdicts stand in for,
+// applied to the one-statement program.
+func oracleEntry(rel *dataset.Relation, sk sketch.Stmt, opts FillOptions) cachedStmt {
+	stmt, ok := FillStatement(rel, sk, opts)
+	if !ok {
+		return cachedStmt{}
+	}
+	prog := &dsl.Program{Stmts: []dsl.Statement{stmt}}
+	e := cachedStmt{stmt: stmt, ok: true, cov: dsl.StatementCoverage(stmt, rel),
+		bad: analysis.HasErrors(analysis.Verify(prog, rel))}
+	if !e.bad {
+		e.inDom = true
+		e.canon, _ = analysis.Canon(prog, sat.DomainsOf(rel))
+	}
+	return e
+}
+
 // TestStatementCacheConcurrent is the -race stress test of the sharded
 // statement cache: many goroutines fill an overlapping set of statement
-// sketches through one cache. Every result must match a direct
-// FillStatement call, each distinct key must be computed exactly once
+// sketches through one cache, as SelectProgram's workers do. Every entry
+// — the fill and its verdicts — must match oracleEntry, each distinct key must be computed exactly once
 // (misses == distinct keys, singleflight), and the hit count must equal
 // the remaining accesses — the same ledger a serial memo table keeps.
 func TestStatementCacheConcurrent(t *testing.T) {
@@ -38,13 +60,19 @@ func TestStatementCacheConcurrent(t *testing.T) {
 		}
 	}
 	opts := FillOptions{Epsilon: 0.02, MinSupport: 2}
-	want := make([]dsl.Statement, len(sketches))
-	wantOK := make([]bool, len(sketches))
+	want := make([]cachedStmt, len(sketches))
+	filled := 0
 	for i, sk := range sketches {
-		want[i], wantOK[i] = FillStatement(rel, sk, opts)
+		want[i] = oracleEntry(rel, sk, opts)
+		if want[i].ok {
+			filled++
+		}
+	}
+	if filled == 0 {
+		t.Fatal("no sketch filled; the entries compared too little")
 	}
 
-	cache := &StatementCache{}
+	cache := newStmtCache(rel, opts, true, nil)
 	const goroutines = 16
 	const rounds = 50
 	errs := make(chan error, goroutines)
@@ -58,13 +86,10 @@ func TestStatementCacheConcurrent(t *testing.T) {
 				// in-flight across goroutines.
 				for i := range sketches {
 					k := (i + g) % len(sketches)
-					stmt, ok := cache.Fill(rel, sketches[k], opts)
-					if ok != wantOK[k] {
-						errs <- fmt.Errorf("sketch %d: ok = %v, want %v", k, ok, wantOK[k])
-						return
-					}
-					if ok && formatStmt(stmt, rel) != formatStmt(want[k], rel) {
-						errs <- fmt.Errorf("sketch %d: concurrent fill differs from serial fill", k)
+					e := cache.get(context.Background(), sketches[k])
+					if !reflect.DeepEqual(e, want[k]) {
+						errs <- fmt.Errorf("sketch %d: concurrent entry %s differs from the oracle's %s",
+							k, formatStmt(e.stmt, rel), formatStmt(want[k].stmt, rel))
 						return
 					}
 				}

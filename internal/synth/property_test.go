@@ -1,7 +1,9 @@
 package synth
 
 import (
+	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -73,14 +75,12 @@ func TestCacheTransparencyProperty(t *testing.T) {
 			return false
 		}
 		rng := rand.New(rand.NewSource(seed))
-		cache := &StatementCache{}
+		cache := newStmtCache(rel, FillOptions{}, true, nil)
 		for i := 0; i < 6; i++ {
 			on := rng.Intn(4)
 			given := []int{(on + 1 + rng.Intn(3)) % 4}
 			sk := sketch.Stmt{Given: given, On: on}
-			a, okA := cache.Fill(rel, sk, FillOptions{})
-			b, okB := FillStatement(rel, sk, FillOptions{})
-			if okA != okB || len(a.Branches) != len(b.Branches) {
+			if !reflect.DeepEqual(cache.get(context.Background(), sk), oracleEntry(rel, sk, FillOptions{})) {
 				return false
 			}
 		}

@@ -1,6 +1,8 @@
 package synth
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"github.com/guardrail-db/guardrail/internal/bn"
@@ -115,23 +117,23 @@ func TestFillStatementMinSupport(t *testing.T) {
 
 func TestStatementCache(t *testing.T) {
 	rel := postalRel(t, 500, 5)
-	cache := &StatementCache{}
+	cache := newStmtCache(rel, FillOptions{}, true, nil)
+	ctx := context.Background()
 	sk := sketch.Stmt{Given: []int{0}, On: 1}
-	a, ok1 := cache.Fill(rel, sk, FillOptions{})
-	b, ok2 := cache.Fill(rel, sk, FillOptions{})
-	if !ok1 || !ok2 {
+	a, b := cache.get(ctx, sk), cache.get(ctx, sk)
+	if !a.ok || !b.ok {
 		t.Fatal("cache fill failed")
 	}
-	if len(a.Branches) != len(b.Branches) {
-		t.Fatal("cache returned different statement")
+	if want := oracleEntry(rel, sk, FillOptions{}); !reflect.DeepEqual(a, want) || !reflect.DeepEqual(b, want) {
+		t.Fatal("cache returned a different entry")
 	}
 	hits, misses := cache.Stats()
 	if hits != 1 || misses != 1 {
 		t.Fatalf("hits=%d misses=%d", hits, misses)
 	}
-	// Reordered GIVEN hits the same entry.
-	cache.Fill(rel, sketch.Stmt{Given: []int{0}, On: 2}, FillOptions{})
-	cache.Fill(rel, sketch.Stmt{Given: []int{0}, On: 2}, FillOptions{})
+	// A second key gets its own miss, then hits.
+	cache.get(ctx, sketch.Stmt{Given: []int{0}, On: 2})
+	cache.get(ctx, sketch.Stmt{Given: []int{0}, On: 2})
 	hits, _ = cache.Stats()
 	if hits != 2 {
 		t.Fatalf("hits=%d", hits)
