@@ -326,6 +326,85 @@ func BenchmarkGuardStreamCSV(b *testing.B) {
 	})
 }
 
+// benchCSVFixture renders a postal-chain sample with 1% injected errors,
+// a third of them strings outside every dictionary, as CSV: the input of
+// the ingest and write rungs, shaped like perfbench's batch-rectify CSV.
+func benchCSVFixture(b *testing.B) (*dataset.Relation, []byte) {
+	b.Helper()
+	rel, err := bn.PostalChain(256).Sample(50_000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := errgen.Inject(rel, errgen.Options{Rate: 0.01, RandomStringProb: 0.3, Seed: 2}); err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := rel.ToCSV(&buf); err != nil {
+		b.Fatal(err)
+	}
+	return rel, buf.Bytes()
+}
+
+// BenchmarkCSVIngest prices CSV parse and encode with no guard: FromCSV,
+// which interns into a new relation, and a Reader feeding an Encoder over
+// a frozen schema, as StreamCSV and serve's CSV batches read.
+func BenchmarkCSVIngest(b *testing.B) {
+	schema, data := benchCSVFixture(b)
+	b.Run("path=FromCSV", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			if _, err := dataset.FromCSV(bytes.NewReader(data), "t"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("path=Encoder", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(data)))
+		row := make([]int32, schema.NumAttrs())
+		for i := 0; i < b.N; i++ {
+			cr, err := dataset.NewReader(bytes.NewReader(data))
+			if err != nil {
+				b.Fatal(err)
+			}
+			enc := dataset.NewEncoder(schema)
+			colOf, err := enc.MapHeader(cr.Header())
+			if err != nil {
+				b.Fatal(err)
+			}
+			for {
+				rec, err := cr.Read()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				for c, v := range rec {
+					row[colOf[c]] = enc.EncodeBytes(colOf[c], v)
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkCSVWrite prices ToCSV, the write half of `guardrail rectify`.
+func BenchmarkCSVWrite(b *testing.B) {
+	rel, data := benchCSVFixture(b)
+	var out bytes.Buffer
+	out.Grow(len(data))
+	b.ReportAllocs()
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out.Reset()
+		if err := rel.ToCSV(&out); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkGuardCompile prices the compilation itself — the one-time cost
 // the per-row speedup amortizes.
 func BenchmarkGuardCompile(b *testing.B) {

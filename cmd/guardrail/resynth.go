@@ -62,6 +62,7 @@ func cmdResynth(args []string) error {
 			Workers: *workers, Obs: reg, Trace: tr.Root(),
 		},
 	})
+	vals := make([]string, len(cr.Header()))
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -70,7 +71,10 @@ func cmdResynth(args []string) error {
 		if err != nil {
 			return fmt.Errorf("resynth: %s: %w", *in, err)
 		}
-		evs, err := inc.Observe(rec)
+		for i, v := range rec {
+			vals[i] = string(v)
+		}
+		evs, err := inc.Observe(vals)
 		if err != nil {
 			return err
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 
@@ -38,15 +37,14 @@ func (g *Guard) StreamCSV(r io.Reader, w io.Writer, schema *dataset.Relation) (*
 	if err != nil {
 		return nil, err
 	}
-	cw := csv.NewWriter(w)
-	defer cw.Flush()
-	if err := cw.Write(cr.Header()); err != nil {
+	cw := dataset.NewWriter(w, enc, colOf)
+	defer func() { _ = cw.Flush() }() // rows before an abort still go out
+	if err := cw.WriteHeader(cr.Header()); err != nil {
 		return nil, err
 	}
 
 	stats := &StreamStats{}
 	row := make([]int32, schema.NumAttrs())
-	out := make([]string, len(colOf))
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -60,7 +58,7 @@ func (g *Guard) StreamCSV(r io.Reader, w io.Writer, schema *dataset.Relation) (*
 			rsp = rsc.Start("stream.row").Int("row", int64(stats.Rows))
 		}
 		for i, v := range rec {
-			row[colOf[i]] = enc.Encode(colOf[i], v)
+			row[colOf[i]] = enc.EncodeBytes(colOf[i], v)
 		}
 		vs, changed, err := g.Step(row)
 		if len(vs) > 0 {
@@ -75,17 +73,13 @@ func (g *Guard) StreamCSV(r io.Reader, w io.Writer, schema *dataset.Relation) (*
 		}
 		stats.Changed += changed
 		g.metrics.streamChanged.Add(int64(changed))
-		for i, a := range colOf {
-			out[i] = enc.Decode(a, row[a])
-		}
-		if err := cw.Write(out); err != nil {
+		if err := cw.Write(row); err != nil {
 			return stats, err
 		}
 		stats.Rows++
 		g.metrics.streamRows.Inc()
 	}
-	cw.Flush()
-	return stats, cw.Error()
+	return stats, cw.Flush()
 }
 
 // ExplainViolation renders a violation in terms of schema's names, for

@@ -3,9 +3,14 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/csv"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
+	"github.com/guardrail-db/guardrail/internal/dataset"
+	"github.com/guardrail-db/guardrail/internal/dsl"
 	"github.com/guardrail-db/guardrail/internal/dsl/compile"
 	"github.com/guardrail-db/guardrail/internal/par"
 )
@@ -57,6 +62,96 @@ func TestStreamCSVIgnoreKeepsData(t *testing.T) {
 	}
 	if out.String() != original {
 		t.Fatal("ignore altered the stream")
+	}
+}
+
+// awkward holds values encoding/csv's Writer quotes or writes specially:
+// a comma, a quote, a newline, carriage returns, a leading space, tab or
+// U+00A0 (a Unicode space) and the `\.` end-of-data marker.
+var awkward = []string{"a,b", `say "hi"`, "two\nlines", "cr\rin", "x\r\ny", " lead", "\tlead", "\u00a0lead", `\.`, "plain"}
+
+// writeCSV renders recs as encoding/csv's Writer does.
+func writeCSV(t *testing.T, recs [][]string) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	w := csv.NewWriter(&b)
+	if err := w.WriteAll(recs); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// TestStreamCSVWritesAsEncodingCSV: StreamCSV's output is byte for byte
+// what encoding/csv's Writer writes for the rectified records — for
+// dictionary values, values outside the dictionary and empty cells. The
+// program rewrites v to "a,b" wherever k is "fix".
+func TestStreamCSVWritesAsEncodingCSV(t *testing.T) {
+	schemaRecs := [][]string{{"k", "v"}, {"fix", "a,b"}}
+	inRecs := [][]string{{"v", "k"}}
+	for i, v := range awkward {
+		schemaRecs = append(schemaRecs, []string{fmt.Sprint("k", i), v})
+		inRecs = append(inRecs, []string{v, fmt.Sprint("k", i)}, []string{v + "!", ""}, []string{"!" + v, "fix"})
+	}
+	inRecs = append(inRecs, []string{"", ""}, []string{"", "fix"})
+	schema, err := dataset.FromCSV(bytes.NewReader(writeCSV(t, schemaRecs)), "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := dsl.Parse(`GIVEN k ON v HAVING IF k = "fix" THEN v <- "a,b";`, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := writeCSV(t, inRecs)
+	// The expected records are the input as encoding/csv reads it back
+	// (a quoted \r\n reads as \n), rectified.
+	want, err := csv.NewReader(bytes.NewReader(in)).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range want[1:] {
+		if rec[1] == "fix" {
+			rec[0] = "a,b"
+		}
+	}
+	for _, g := range []*Guard{NewGuard(prog, Rectify), CompileEngine(prog, compile.Options{}).Guard(Rectify)} {
+		var out bytes.Buffer
+		if _, err := g.StreamCSV(bytes.NewReader(in), &out, schema); err != nil {
+			t.Fatal(err)
+		}
+		if w := writeCSV(t, want); !bytes.Equal(out.Bytes(), w) {
+			t.Errorf("%s: StreamCSV wrote\n%q\nencoding/csv writes\n%q", g.Engine().Backend(), out.Bytes(), w)
+		}
+	}
+}
+
+// TestStreamCSVAllocsFlat: over values the schema holds, StreamCSV makes
+// as many allocations for 10k rows as for 1k: none per row.
+func TestStreamCSVAllocsFlat(t *testing.T) {
+	f := setup(t)
+	var src bytes.Buffer
+	if err := f.clean.ToCSV(&src); err != nil {
+		t.Fatal(err)
+	}
+	header, rows, _ := strings.Cut(src.String(), "\n")
+	lines := strings.SplitAfter(rows, "\n")
+	body := func(n int) []byte {
+		b := []byte(header + "\n")
+		for i := 0; i < n; i++ {
+			b = append(b, lines[i%(len(lines)-1)]...)
+		}
+		return b
+	}
+	for _, g := range []*Guard{NewGuard(f.prog, Rectify), CompileEngine(f.prog, compile.Options{}).Guard(Rectify)} {
+		allocs := func(data []byte) float64 {
+			return testing.AllocsPerRun(5, func() {
+				if _, err := g.StreamCSV(bytes.NewReader(data), io.Discard, f.clean); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if a1, a10 := allocs(body(1000)), allocs(body(10000)); a1 != a10 {
+			t.Errorf("%s: %v allocations for 1k rows, %v for 10k", g.Engine().Backend(), a1, a10)
+		}
 	}
 }
 

@@ -41,6 +41,15 @@ func (d *Dict) Intern(s string) int32 {
 	return c
 }
 
+// internBytes is Intern for a value held in a byte slice; only a value
+// not yet interned allocates.
+func (d *Dict) internBytes(b []byte) int32 {
+	if c, ok := d.byValue[string(b)]; ok {
+		return c
+	}
+	return d.Intern(string(b))
+}
+
 // Lookup returns the code for s and whether it is present.
 func (d *Dict) Lookup(s string) (int32, bool) {
 	c, ok := d.byValue[s]

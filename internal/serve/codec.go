@@ -88,10 +88,10 @@ func (b *rowBuf) setFromScan(obj []byte, sc *flatScanner) error {
 
 // setFromRecord fills the buffer from a CSV record whose column i maps to
 // schema attribute colOf[i].
-func (b *rowBuf) setFromRecord(colOf []int, rec []string) {
+func (b *rowBuf) setFromRecord(colOf []int, rec [][]byte) {
 	for i, v := range rec {
 		a := colOf[i]
-		b.set(a, b.enc.Encode(a, v))
+		b.set(a, b.enc.EncodeBytes(a, v))
 	}
 }
 

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -269,7 +268,9 @@ func (s *Server) streamCSV(w http.ResponseWriter, r *http.Request, e *Entry, g *
 	rectify := g.Strategy() == core.Rectify
 	st := newBatchStream(w, r.Body)
 	buf := newRowBuf(e.Schema)
-	cr, err := dataset.NewReader(bufio.NewReaderSize(st, csvReadSize))
+	// The scanner reads the body into 32 KiB or more of free buffer at a
+	// time; each read first flushes the output for the rows before it.
+	cr, err := dataset.NewReader(st)
 	var colOf []int
 	if err == nil {
 		colOf, err = buf.enc.MapHeader(cr.Header())
@@ -285,14 +286,13 @@ func (s *Server) streamCSV(w http.ResponseWriter, r *http.Request, e *Entry, g *
 		// 200, so the CSV body reports it in a trailer.
 		w.Header().Set("Trailer", errorTrailer)
 		w.Header().Set("Content-Type", "text/csv")
-		if err := st.writeCSV(cr.Header()); err != nil {
+		if err := st.startCSV(buf.enc, colOf, cr.Header()); err != nil {
 			return
 		}
 	} else {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
 
-	out := make([]string, len(colOf))
 	var sum batchSummary
 	for i := 0; ; i++ {
 		rec, err := cr.Read()
@@ -315,10 +315,7 @@ func (s *Server) streamCSV(w http.ResponseWriter, r *http.Request, e *Entry, g *
 		v := s.checkOne(e, g, buf, rc, i)
 		sum.add(v)
 		if rectify {
-			for c, a := range colOf {
-				out[c] = buf.enc.Decode(a, buf.codes[a])
-			}
-			if err := st.writeCSV(out); err != nil {
+			if err := st.writeCSV(buf.codes); err != nil {
 				return
 			}
 		} else {
@@ -330,10 +327,6 @@ func (s *Server) streamCSV(w http.ResponseWriter, r *http.Request, e *Entry, g *
 	}
 	st.drain()
 }
-
-// csvReadSize is the read buffer of a CSV batch; each refill of it is one
-// flush of the verdicts for the rows it held.
-const csvReadSize = 32 << 10
 
 // checkOne runs the row in buf through the request's guard (Ignore for
 // check, Rectify for rectify, which repairs buf in place), updating the

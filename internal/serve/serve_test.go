@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -296,6 +297,63 @@ func TestCSVRectifyMatchesStreamCSV(t *testing.T) {
 	}
 	if !bytes.Equal(got, want.Bytes()) {
 		t.Errorf("serve rectify differs from core.StreamCSV:\nserve:\n%s\ncore:\n%s", got, want.Bytes())
+	}
+}
+
+// TestCSVRectifyWritesAsEncodingCSV: the CSV rectify response is byte for
+// byte what encoding/csv's Writer writes for the rectified records, for
+// values it quotes or writes specially — a comma, a quote, a newline,
+// carriage returns, a leading space, tab or U+00A0, the `\.` marker —
+// whether they are in the schema's dictionary or not, and for empty cells.
+// The program rewrites v to "a,b" wherever k is "fix".
+func TestCSVRectifyWritesAsEncodingCSV(t *testing.T) {
+	awkward := []string{"a,b", `say "hi"`, "two\nlines", "cr\rin", "x\r\ny", " lead", "\tlead", "\u00a0lead", `\.`, "plain"}
+	writeCSV := func(recs [][]string) []byte {
+		var b bytes.Buffer
+		if err := csv.NewWriter(&b).WriteAll(recs); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	schemaRecs := [][]string{{"k", "v"}, {"fix", "a,b"}}
+	inRecs := [][]string{{"v", "k"}}
+	for i, v := range awkward {
+		schemaRecs = append(schemaRecs, []string{fmt.Sprint("k", i), v})
+		inRecs = append(inRecs, []string{v, fmt.Sprint("k", i)}, []string{v + "!", ""}, []string{"!" + v, "fix"})
+	}
+	inRecs = append(inRecs, []string{"", ""}, []string{"", "fix"})
+	r := NewRegistry(nil)
+	if _, _, err := r.Load("awk", writeCSV(schemaRecs), []byte(`GIVEN k ON v HAVING IF k = "fix" THEN v <- "a,b";`)); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(Config{Registry: r}).Handler())
+	defer ts.Close()
+
+	in := writeCSV(inRecs)
+	resp, err := http.Post(ts.URL+"/v1/rectify?dataset=awk", "text/csv", bytes.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	if cerr := resp.Body.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The expected records are the input as encoding/csv reads it back
+	// (a quoted \r\n reads as \n), rectified.
+	want, err := csv.NewReader(bytes.NewReader(in)).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range want[1:] {
+		if rec[1] == "fix" {
+			rec[0] = "a,b"
+		}
+	}
+	if w := writeCSV(want); !bytes.Equal(got, w) {
+		t.Errorf("serve rectify wrote\n%q\nencoding/csv writes\n%q", got, w)
 	}
 }
 

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,6 +9,8 @@ import (
 	"slices"
 	"unicode/utf16"
 	"unicode/utf8"
+
+	"github.com/guardrail-db/guardrail/internal/dataset"
 )
 
 // batchStream is the response side of one streaming batch request, and
@@ -24,10 +25,10 @@ type batchStream struct {
 	w    http.ResponseWriter
 	ctrl *http.ResponseController
 	body io.Reader
-	// out holds NDJSON lines not yet written to w; csv, once writeCSV
+	// out holds NDJSON lines not yet written to w; csv, once startCSV
 	// made it, is the CSV writer over w, whose buffer is pending too.
 	out   []byte
-	csv   *csv.Writer
+	csv   *dataset.Writer
 	dirty bool // output produced since the last flush
 }
 
@@ -77,14 +78,19 @@ func (s *batchStream) produced() {
 	}
 }
 
-// writeCSV writes one CSV record to the response through a csv.Writer,
-// whose buffer is pending output until the next flush.
-func (s *batchStream) writeCSV(rec []string) error {
-	if s.csv == nil {
-		s.csv = csv.NewWriter(s.w)
-	}
+// startCSV begins a CSV response with its header row; rows written by
+// writeCSV hold attribute colOf[i] in column i, decoded through enc. The
+// CSV writer's buffer is pending output until the next flush.
+func (s *batchStream) startCSV(enc *dataset.Encoder, colOf []int, header []string) error {
+	s.csv = dataset.NewWriter(s.w, enc, colOf)
 	s.dirty = true
-	return s.csv.Write(rec)
+	return s.csv.WriteHeader(header)
+}
+
+// writeCSV writes one row of codes to the CSV response.
+func (s *batchStream) writeCSV(codes []int32) error {
+	s.dirty = true
+	return s.csv.Write(codes)
 }
 
 // flush sends all pending output to the client.
@@ -102,7 +108,7 @@ func (s *batchStream) drain() {
 		s.out = s.out[:0]
 	}
 	if s.csv != nil {
-		s.csv.Flush()
+		_ = s.csv.Flush() // a failed write ends the response; the client sees it cut
 	}
 }
 

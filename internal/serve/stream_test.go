@@ -149,7 +149,7 @@ func TestAppendVerdict(t *testing.T) {
 	schema := dataset.New("t", []string{"b<", "a\u2028", "c"})
 	schema.Intern(0, "x&y")
 	b := newRowBuf(schema)
-	b.setFromRecord([]int{0, 1, 2}, []string{"x&y", "unseen\xff", ""})
+	b.setFromRecord([]int{0, 1, 2}, [][]byte{[]byte("x&y"), []byte("unseen\xff"), nil})
 	viols := []apiViolation{{Stmt: 3, Attr: "b<", Expected: "x&y", Actual: "\u2029"}, {Attr: "c"}}
 	for _, v := range []verdict{
 		{Row: 0, Violations: []apiViolation{}},

@@ -68,76 +68,104 @@ func fillStatement(rel *dataset.Relation, sk sketch.Stmt, opts FillOptions) (dsl
 	}
 	onCol := rel.Column(sk.On)
 
-	// Group rows by their determinant tuple; per group count dependent
-	// values to find the mode.
-	type group struct {
-		cond   []int32       // determinant values, aligned with sk.Given
-		counts map[int32]int // dependent value -> count
-		size   int
+	// Group rows by their determinant tuple. gid[r] is row r's group, or
+	// -1 when a determinant is missing: a condition cannot test it. Ids
+	// start as the first determinant's codes and are re-densified one
+	// determinant at a time through keys gid<<32|code, which cannot
+	// overflow however many determinants there are.
+	gid := make([]int32, n)
+	ngroups := 0
+	for r, v := range givenCols[0] {
+		gid[r] = v // Missing is -1
+		ngroups = max(ngroups, int(v)+1)
 	}
-	groups := map[string]*group{}
-	keyBuf := make([]byte, 0, len(sk.Given)*5)
-	for r := 0; r < n; r++ {
-		keyBuf = keyBuf[:0]
-		skip := false
-		for _, col := range givenCols {
+	for _, col := range givenCols[1:] {
+		ids := make(map[uint64]int32, ngroups)
+		for r, g := range gid {
+			if g < 0 {
+				continue
+			}
 			v := col[r]
 			if v == dataset.Missing {
-				skip = true // a condition cannot test a missing determinant
-				break
+				gid[r] = -1
+				continue
 			}
-			keyBuf = append(keyBuf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24), ':')
-		}
-		if skip {
-			continue
-		}
-		g := groups[string(keyBuf)]
-		if g == nil {
-			cond := make([]int32, len(sk.Given))
-			for i, col := range givenCols {
-				cond[i] = col[r]
+			k := uint64(g)<<32 | uint64(v)
+			id, ok := ids[k]
+			if !ok {
+				id = int32(len(ids))
+				ids[k] = id
 			}
-			g = &group{cond: cond, counts: map[int32]int{}}
-			groups[string(keyBuf)] = g
+			gid[r] = id
 		}
-		g.size++
-		g.counts[onCol[r]]++
+		ngroups = len(ids)
 	}
 
-	// Iterate groups in sorted key order: map order is randomized, and the
-	// branch list must be byte-stable across runs for reproducible synthesis.
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
+	// Lay each group's rows out together: group g's rows are
+	// rows[start[g]:start[g+1]], in row order.
+	start := make([]int32, ngroups+1)
+	for _, g := range gid {
+		if g >= 0 {
+			start[g+1]++
+		}
 	}
-	sort.Strings(keys)
+	for g := 0; g < ngroups; g++ {
+		start[g+1] += start[g]
+	}
+	rows := make([]int32, start[ngroups])
+	next := append([]int32(nil), start[:ngroups]...)
+	for r, g := range gid {
+		if g >= 0 {
+			rows[next[g]] = int32(r)
+			next[g]++
+		}
+	}
 
+	// Per group, the branch literal is the mode of the dependent values,
+	// the least value among equally frequent ones. counts[v+1] counts
+	// value v (Missing at 0); seen lists the values a group touched, so
+	// resetting the counts costs the group's size, not the domain's.
+	counts := make([]int, rel.Cardinality(sk.On)+1)
+	var seen []int32
 	var branches []dsl.Branch
 	support := 0
-	for _, k := range keys {
-		g := groups[k]
-		if g.size < opts.MinSupport {
+	for g := 0; g < ngroups; g++ {
+		grp := rows[start[g]:start[g+1]]
+		size := len(grp)
+		if size == 0 || size < opts.MinSupport {
 			continue
 		}
+		seen = seen[:0]
+		for _, r := range grp {
+			v := onCol[r]
+			if int(v)+1 >= len(counts) {
+				counts = append(counts, make([]int, int(v)+2-len(counts))...)
+			}
+			if counts[v+1] == 0 {
+				seen = append(seen, v)
+			}
+			counts[v+1]++
+		}
 		mode, modeCount := int32(dataset.Missing), -1
-		for v, c := range g.counts {
-			if c > modeCount || (c == modeCount && v < mode) {
+		for _, v := range seen {
+			if c := counts[v+1]; c > modeCount || (c == modeCount && v < mode) {
 				mode, modeCount = v, c
 			}
+			counts[v+1] = 0
 		}
 		if mode == dataset.Missing {
 			continue // refusing to assert "must be missing"
 		}
-		loss := g.size - modeCount
-		if float64(loss) > float64(g.size)*opts.Epsilon {
+		loss := size - modeCount
+		if float64(loss) > float64(size)*opts.Epsilon {
 			continue
 		}
 		cond := make(dsl.Condition, len(sk.Given))
 		for i, a := range sk.Given {
-			cond[i] = dsl.Pred{Attr: a, Value: g.cond[i]}
+			cond[i] = dsl.Pred{Attr: a, Value: givenCols[i][grp[0]]}
 		}
 		branches = append(branches, dsl.Branch{Cond: cond, Value: mode})
-		support += g.size
+		support += size
 	}
 	if len(branches) == 0 {
 		return dsl.Statement{}, 0, false
