@@ -628,8 +628,21 @@ func BenchmarkPushdown(b *testing.B) {
 // BenchmarkGuardedQuery runs the guarded PREDICT query end to end: a
 // compiled rectify guard vets a dirty 200k-row PostalChain table before a
 // logistic model, trained on the table's first 6k rows, predicts Country
-// for the grouped aggregate.
+// for the grouped aggregate. The table holds about 2k distinct rows, so the
+// executor guards, predicts and evaluates each of them once.
 func BenchmarkGuardedQuery(b *testing.B) {
+	benchGuardedQuery(b, false)
+}
+
+// BenchmarkGuardedQueryAllDistinct is BenchmarkGuardedQuery's worst case:
+// a trailing row-id column makes every scanned row distinct, so nothing
+// repeats and the executor's per-distinct-row work is per row again. The
+// model and guard do not read the extra column.
+func BenchmarkGuardedQueryAllDistinct(b *testing.B) {
+	benchGuardedQuery(b, true)
+}
+
+func benchGuardedQuery(b *testing.B, allDistinct bool) {
 	table, err := bn.PostalChain(256).Sample(200_000, 1)
 	if err != nil {
 		b.Fatal(err)
@@ -660,6 +673,11 @@ func BenchmarkGuardedQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	if allDistinct {
+		// The copy keeps every code, so the guard and model built on
+		// the table read its rows unchanged.
+		table = withRowID(table)
+	}
 	env := &sqlexec.Env{Models: map[string]ml.Model{"Country": model}, Guard: guard}
 	const q = "SELECT State, COUNT(*) AS n, AVG(CASE WHEN PREDICT(Country) = 'Country_v0' THEN 1 ELSE 0 END) AS m FROM t GROUP BY State"
 	b.ReportAllocs()
@@ -669,6 +687,27 @@ func BenchmarkGuardedQuery(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// withRowID returns a copy of rel with a trailing "rowid" column holding
+// each row's index; every other attribute keeps its dictionary and codes.
+func withRowID(rel *dataset.Relation) *dataset.Relation {
+	m := rel.NumAttrs()
+	out := dataset.New(rel.Name(), append(append([]string(nil), rel.Attrs()...), "rowid"))
+	for a := range m {
+		for c := range rel.Dict(a).Len() {
+			out.Intern(a, rel.Dict(a).Value(int32(c)))
+		}
+	}
+	row := make([]int32, m+1)
+	for i := range rel.NumRows() {
+		rel.Row(i, row)
+		row[m] = out.Intern(m, fmt.Sprint(i))
+		if err := out.AppendCodes(row); err != nil {
+			panic(err)
+		}
+	}
+	return out
 }
 
 // BenchmarkMECvsOrientations contrasts the two search spaces of Table 7 on

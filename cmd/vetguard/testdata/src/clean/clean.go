@@ -4,7 +4,9 @@
 package clean
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"slices"
@@ -299,4 +301,19 @@ func ConvertedSortAccum(m map[string]float64) float64 {
 		total += m[k]
 	}
 	return total
+}
+
+var errShort = errors.New("clean: short read")
+
+// TaglessSwitchRead reads err in the first case expression of a tagless
+// switch: the later cases and the fall-out path run only after it.
+func TaglessSwitchRead(r io.Reader, p []byte) (int, error) {
+	n, err := r.Read(p)
+	switch {
+	case err != nil:
+		return 0, err
+	case n > 0:
+		return n, nil
+	}
+	return 0, errShort
 }

@@ -14,7 +14,10 @@ import (
 
 // Model predicts a label code from an encoded row.
 type Model interface {
-	// Predict returns the predicted code for the label attribute.
+	// Predict returns the predicted code for the label attribute. It must
+	// depend only on row's codes, neither reading nor writing other state
+	// that changes between calls: the SQL executor predicts each distinct
+	// row once and shares the prediction among the rows equal to it.
 	Predict(row []int32) int32
 	// Label returns the index of the predicted attribute.
 	Label() int

@@ -2,6 +2,7 @@ package sqlexec
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -69,7 +70,8 @@ type Env struct {
 	// PREDICT(label) / label_pred expressions.
 	Models map[string]ml.Model
 	// Guard, when non-nil, vets every scanned row before it reaches the
-	// model, applying its strategy (raise/ignore/coerce/rectify).
+	// model, applying its strategy (raise/ignore/coerce/rectify). It steps
+	// each distinct row once, so Guard.Step must depend only on the row.
 	Guard *core.Guard
 	// DisablePushdown turns off predicate pushdown (for the ablation
 	// bench); by default WHERE conjuncts that do not reference predictions
@@ -95,7 +97,7 @@ const guardJITRows = 1024
 type Stats struct {
 	RowsScanned   int
 	RowsFiltered  int // rows removed by pushed-down predicates before inference
-	PredictCalls  int
+	PredictCalls  int // predictions consumed: one per live row and label
 	GuardTime     time.Duration
 	InferenceTime time.Duration
 }
@@ -169,14 +171,19 @@ type executor struct {
 	rel   *dataset.Relation
 	env   *Env
 	stats Stats
-	// rows holds the scanned row copies, width codes per row.
+	// rid[i] is scanned row i's distinct id, numbered in order of first
+	// occurrence; rows holds the nd distinct rows, width codes each. Every
+	// pure per-row step (guard, prediction, row expression) runs on
+	// distinct rows, and per-row loops only index by rid.
+	rid   []int32
 	rows  []int32
+	nd    int
 	width int
 	// vals[a] is attribute a's decodeDict, built once per query; nil for
 	// attributes the query does not read.
 	vals [][]Value
 	// labels lists the PREDICT targets in order of first reference;
-	// preds[s] holds labels[s]'s per-row predictions.
+	// preds[s][r] is labels[s]'s prediction for distinct row r.
 	labels []string
 	preds  [][]int32
 }
@@ -190,9 +197,75 @@ type boundCol struct {
 
 func (boundCol) exprNode() {}
 
-// row returns scanned row i.
-func (ex *executor) row(i int) []int32 {
+// row returns distinct row r.
+func (ex *executor) row(r int32) []int32 {
+	i := int(r)
 	return ex.rows[i*ex.width : (i+1)*ex.width : (i+1)*ex.width]
+}
+
+// scan numbers the first n rows of the relation by distinct code tuple, in
+// order of first occurrence, and copies each distinct row once into
+// ex.rows. The open-addressing table, sized once from n for a load factor
+// of at most 1/2, holds rid+1 per slot (0 is empty); a probe compares the
+// row with the candidate's first row, column by column.
+func (ex *executor) scan(n int) {
+	cols := make([][]int32, ex.width)
+	for a := range cols {
+		cols[a] = ex.rel.Column(a)[:n]
+	}
+	size := 2
+	for size < 2*n {
+		size <<= 1
+	}
+	mask := uint64(size - 1)
+	slots := make([]int32, size)
+	ex.rid = make([]int32, n)
+	firsts := make([]int32, 0, n) // firsts[r] is distinct row r's first row
+	// Rows are hashed a block at a time, one column after another, so no
+	// row waits on the previous row's hash.
+	var hs [256]uint64
+	for lo := 0; lo < n; lo += len(hs) {
+		hb := hs[:min(len(hs), n-lo)]
+		for k := range hb {
+			hb[k] = 14695981039346656037
+		}
+		for _, col := range cols {
+			for k, c := range col[lo : lo+len(hb)] {
+				hb[k] = (hb[k] ^ uint64(uint32(c))) * 1099511628211
+			}
+		}
+		for k, h := range hb {
+			i := lo + k
+			h ^= h >> 33
+			h *= 0xff51afd7ed558ccd
+			h ^= h >> 33
+		probe:
+			for s := h & mask; ; s = (s + 1) & mask {
+				r := slots[s] - 1
+				if r < 0 {
+					ex.rid[i] = int32(len(firsts))
+					firsts = append(firsts, int32(i))
+					slots[s] = int32(len(firsts))
+					break
+				}
+				f := firsts[r]
+				for _, col := range cols {
+					if col[f] != col[i] {
+						continue probe
+					}
+				}
+				ex.rid[i] = r
+				break
+			}
+		}
+	}
+	ex.nd = len(firsts)
+	ex.rows = make([]int32, ex.nd*ex.width)
+	for a, col := range cols {
+		for r, f := range firsts {
+			ex.rows[r*ex.width+a] = col[f]
+		}
+	}
 }
 
 // bindQuery checks every column reference and PREDICT target up front and
@@ -275,10 +348,19 @@ func (ex *executor) bind(e Expr) (Expr, error) {
 		}
 		return n, err
 	case Agg:
-		if !n.Star {
-			n.Arg, err = ex.bind(n.Arg)
+		if n.Star {
+			return n, nil
 		}
-		return n, err
+		if n.Arg, err = ex.bind(n.Arg); err != nil {
+			return nil, err
+		}
+		switch n.Arg.(type) {
+		case boundCol, NumLit, StrLit:
+			// A bare column or literal already reads in O(1).
+		default:
+			n.Arg = &memo{e: n.Arg}
+		}
+		return n, nil
 	case InList:
 		if n.E, err = ex.bind(n.E); err != nil {
 			return nil, err
@@ -331,6 +413,8 @@ func usesPred(e Expr) bool {
 		return n.Else != nil && usesPred(n.Else)
 	case Agg:
 		return !n.Star && usesPred(n.Arg)
+	case *memo:
+		return usesPred(n.e)
 	case InList:
 		if usesPred(n.E) {
 			return true
@@ -353,8 +437,7 @@ func splitConjuncts(e Expr) []Expr {
 }
 
 func (ex *executor) run(q *Query) (*Result, error) {
-	rel := ex.rel
-	n := rel.NumRows()
+	n := ex.rel.NumRows()
 	ex.stats.RowsScanned = n
 	reg := ex.env.Obs
 	reg.Counter("sql.queries").Inc()
@@ -364,16 +447,14 @@ func (ex *executor) run(q *Query) (*Result, error) {
 	tsc := qsp.Scope()
 
 	// Stage 0: guard interception — every incoming row is vetted before
-	// anything downstream sees it (Example 1.2). Work on copies so Coerce
-	// and Rectify do not mutate the caller's relation.
+	// anything downstream sees it (Example 1.2). The guard works on the
+	// distinct-row copies, so Coerce and Rectify do not mutate the
+	// caller's relation. Step depends only on the row, so under Raise the
+	// first violating distinct row is the first violating row.
 	ssp := tsc.Start("sql.scan")
-	ex.rows = make([]int32, n*ex.width)
-	for a := 0; a < ex.width; a++ {
-		for i, c := range rel.Column(a)[:n] {
-			ex.rows[i*ex.width+a] = c
-		}
-	}
-	ssp.End()
+	ex.scan(n)
+	ssp.Int("distinct", int64(ex.nd)).End()
+	reg.Counter("sql.rows_distinct").Add(int64(ex.nd))
 	if ex.env.Guard != nil {
 		// JIT: a big enough scan pays for compiling the guard once. Open
 		// universe (nil domains) keeps the compiled form sound for values
@@ -387,8 +468,8 @@ func (ex *executor) run(q *Query) (*Result, error) {
 			}
 		}
 		gsp := reg.Stage(tsc, "sql.guard").Str("engine", ex.env.Guard.Engine().Backend())
-		for i := 0; i < n; i++ {
-			if _, _, err := ex.env.Guard.Step(ex.row(i)); err != nil {
+		for r := range int32(ex.nd) {
+			if _, _, err := ex.env.Guard.Step(ex.row(r)); err != nil {
 				gsp.End()
 				return nil, fmt.Errorf("sqlexec: guard: %w", err)
 			}
@@ -409,70 +490,46 @@ func (ex *executor) run(q *Query) (*Result, error) {
 			}
 		}
 	}
-	live := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		keep := true
-		for _, c := range pre {
-			v, err := ex.evalRowIdx(c, ex.row(i), -1)
-			if err != nil {
-				psp.End()
-				return nil, err
-			}
-			if !v.truthy() {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			live = append(live, i)
-		}
+	live, pass, err := ex.filter(ex.rid, pre)
+	if err != nil {
+		psp.End()
+		return nil, err
 	}
 	ex.stats.RowsFiltered = n - len(live)
 	reg.Counter("sql.rows_filtered").Add(int64(ex.stats.RowsFiltered))
 	psp.Int("filtered", int64(ex.stats.RowsFiltered)).End()
 
-	// Stage 2: compute needed predictions for surviving rows, one model
-	// call per live row and label.
+	// Stage 2: compute needed predictions, one model call per distinct
+	// live row and label. Every row of a distinct row shares its verdict,
+	// so the live distinct rows, in rid order, are in order of first
+	// occurrence. PredictCalls counts the predictions consumed: one per
+	// live row and label.
 	ex.preds = make([][]int32, len(ex.labels))
 	for slot, label := range ex.labels {
 		model := ex.env.Models[label]
-		col := make([]int32, n)
+		col := make([]int32, ex.nd)
 		msp := reg.Stage(tsc, "sql.inference").Str("label", label).Int("rows", int64(len(live)))
-		for _, i := range live {
-			col[i] = model.Predict(ex.row(i))
-			ex.stats.PredictCalls++
+		for r := range int32(ex.nd) {
+			if pass == nil || pass[r] == passKeep {
+				col[r] = model.Predict(ex.row(r))
+			}
 		}
+		ex.stats.PredictCalls += len(live)
 		ex.stats.InferenceTime += msp.End()
 		ex.preds[slot] = col
 	}
 	reg.Counter("sql.predict_calls").Add(int64(ex.stats.PredictCalls))
 
 	// Stage 3: residual WHERE.
-	final := live
-	if len(post) > 0 {
-		final = make([]int, 0, len(live))
-		for _, i := range live {
-			keep := true
-			for _, c := range post {
-				v, err := ex.evalRowIdx(c, ex.row(i), i)
-				if err != nil {
-					return nil, err
-				}
-				if !v.truthy() {
-					keep = false
-					break
-				}
-			}
-			if keep {
-				final = append(final, i)
-			}
-		}
+	final, _, err := ex.filter(live, post)
+	if err != nil {
+		return nil, err
 	}
 
-	// Stage 4: grouping.
+	// Stage 4: grouping. Each group lists its rows' rids in row order.
 	type grp struct {
 		key  string
-		rows []int
+		rows []int32
 	}
 	var groups []grp
 	if len(q.GroupBy) == 0 && !hasAggregates(q) && q.Having == nil {
@@ -484,24 +541,42 @@ func (ex *executor) run(q *Query) (*Result, error) {
 	} else if len(q.GroupBy) == 0 {
 		groups = []grp{{rows: final}}
 	} else {
-		byKey := map[string]int{}
+		// The key of each distinct row is built and looked up once;
+		// gidOf[r] is r's group index + 1, 0 until r is keyed. A
+		// counting pass sizes every group before the rows are placed.
+		gidOf := make([]int32, ex.nd)
+		byKey := map[string]int32{}
+		var sizes []int
 		var kb []byte
-		for _, i := range final {
-			kb = kb[:0]
-			for _, g := range q.GroupBy {
-				v, err := ex.evalRowIdx(g, ex.row(i), i)
-				if err != nil {
-					return nil, err
+		for _, r := range final {
+			g := gidOf[r] - 1
+			if g < 0 {
+				kb = kb[:0]
+				for _, e := range q.GroupBy {
+					v, err := ex.evalRow(e, r)
+					if err != nil {
+						return nil, err
+					}
+					kb = append(v.appendTo(kb), 0)
 				}
-				kb = append(v.appendTo(kb), 0)
+				var ok bool
+				if g, ok = byKey[string(kb)]; !ok {
+					g = int32(len(groups))
+					groups = append(groups, grp{key: string(kb)})
+					sizes = append(sizes, 0)
+					byKey[groups[g].key] = g
+				}
+				gidOf[r] = g + 1
 			}
-			gi, ok := byKey[string(kb)]
-			if !ok {
-				gi = len(groups)
-				groups = append(groups, grp{key: string(kb)})
-				byKey[groups[gi].key] = gi
-			}
-			groups[gi].rows = append(groups[gi].rows, i)
+			sizes[g]++
+		}
+		all := make([]int32, len(final))
+		for g, size := range sizes {
+			groups[g].rows, all = all[:0:size], all[size:]
+		}
+		for _, r := range final {
+			g := gidOf[r] - 1
+			groups[g].rows = append(groups[g].rows, r)
 		}
 		sort.Slice(groups, func(a, b int) bool { return groups[a].key < groups[b].key })
 	}
@@ -597,6 +672,45 @@ func (ex *executor) run(q *Query) (*Result, error) {
 	return res, nil
 }
 
+// filter's verdict per distinct row.
+const (
+	passUnknown uint8 = iota
+	passDrop
+	passKeep
+)
+
+// filter returns the entries of rids, one per row in row order, whose
+// distinct row passes every conjunct, and each distinct row's verdict (nil
+// when there are no conjuncts). Each distinct row's conjuncts are
+// evaluated once, left to right with short circuit, on its first row, so
+// evaluation order and errors are those of a row-at-a-time scan.
+func (ex *executor) filter(rids []int32, conj []Expr) ([]int32, []uint8, error) {
+	if len(conj) == 0 {
+		return rids, nil, nil
+	}
+	pass := make([]uint8, ex.nd)
+	out := make([]int32, 0, len(rids))
+	for _, r := range rids {
+		if pass[r] == passUnknown {
+			pass[r] = passKeep
+			for _, c := range conj {
+				v, err := ex.evalRow(c, r)
+				if err != nil {
+					return nil, nil, err
+				}
+				if !v.truthy() {
+					pass[r] = passDrop
+					break
+				}
+			}
+		}
+		if pass[r] == passKeep {
+			out = append(out, r)
+		}
+	}
+	return out, pass, nil
+}
+
 // compareValues orders two SQL values: NULL first, then numeric, then
 // string comparison.
 func compareValues(a, b Value) int {
@@ -666,9 +780,8 @@ func columnName(it SelectItem, i int) string {
 	return fmt.Sprintf("col%d", i)
 }
 
-// evalRowIdx evaluates e against one row; idx supplies the row's index for
-// prediction lookups (-1 when predictions are unavailable).
-func (ex *executor) evalRowIdx(e Expr, row []int32, idx int) (Value, error) {
+// evalRow evaluates e against distinct row r (-1 when e reads no row).
+func (ex *executor) evalRow(e Expr, r int32) (Value, error) {
 	switch n := e.(type) {
 	case NumLit:
 		return NumValue(n.V), nil
@@ -676,14 +789,16 @@ func (ex *executor) evalRowIdx(e Expr, row []int32, idx int) (Value, error) {
 		return StrValue(n.V), nil
 	case boundCol:
 		if n.Pred {
-			if idx < 0 {
+			if r < 0 {
 				return NullValue, fmt.Errorf("sqlexec: prediction for %q unavailable in this context", n.Name)
 			}
-			return ex.vals[n.attr][ex.preds[n.slot][idx]+1], nil
+			return ex.vals[n.attr][ex.preds[n.slot][r]+1], nil
 		}
-		return ex.vals[n.attr][row[n.attr]+1], nil
+		return ex.vals[n.attr][ex.rows[int(r)*ex.width+n.attr]+1], nil
+	case *memo:
+		return ex.memoized(n, r)
 	case Unary:
-		v, err := ex.evalRowIdx(n.E, row, idx)
+		v, err := ex.evalRow(n.E, r)
 		if err != nil {
 			return NullValue, err
 		}
@@ -695,25 +810,25 @@ func (ex *executor) evalRowIdx(e Expr, row []int32, idx int) (Value, error) {
 		}
 		return NumValue(-v.Num), nil
 	case Binary:
-		return ex.evalBinary(n, row, idx)
+		return ex.evalBinary(n, r)
 	case Case:
 		for _, w := range n.Whens {
-			c, err := ex.evalRowIdx(w.Cond, row, idx)
+			c, err := ex.evalRow(w.Cond, r)
 			if err != nil {
 				return NullValue, err
 			}
 			if c.truthy() {
-				return ex.evalRowIdx(w.Then, row, idx)
+				return ex.evalRow(w.Then, r)
 			}
 		}
 		if n.Else != nil {
-			return ex.evalRowIdx(n.Else, row, idx)
+			return ex.evalRow(n.Else, r)
 		}
 		return NullValue, nil
 	case Agg:
 		return NullValue, fmt.Errorf("sqlexec: aggregate %s in row context", n.Fn)
 	case InList:
-		v, err := ex.evalRowIdx(n.E, row, idx)
+		v, err := ex.evalRow(n.E, r)
 		if err != nil {
 			return NullValue, err
 		}
@@ -722,7 +837,7 @@ func (ex *executor) evalRowIdx(e Expr, row []int32, idx int) (Value, error) {
 		}
 		found := false
 		for _, item := range n.Items {
-			iv, err := ex.evalRowIdx(item, row, idx)
+			iv, err := ex.evalRow(item, r)
 			if err != nil {
 				return NullValue, err
 			}
@@ -746,8 +861,8 @@ func boolValue(b bool) Value {
 	return NumValue(0)
 }
 
-func (ex *executor) evalBinary(n Binary, row []int32, idx int) (Value, error) {
-	l, err := ex.evalRowIdx(n.L, row, idx)
+func (ex *executor) evalBinary(n Binary, r int32) (Value, error) {
+	l, err := ex.evalRow(n.L, r)
 	if err != nil {
 		return NullValue, err
 	}
@@ -755,36 +870,36 @@ func (ex *executor) evalBinary(n Binary, row []int32, idx int) (Value, error) {
 		if !l.truthy() {
 			return boolValue(false), nil
 		}
-		r, err := ex.evalRowIdx(n.R, row, idx)
+		rv, err := ex.evalRow(n.R, r)
 		if err != nil {
 			return NullValue, err
 		}
-		return boolValue(r.truthy()), nil
+		return boolValue(rv.truthy()), nil
 	}
 	if n.Op == "OR" {
 		if l.truthy() {
 			return boolValue(true), nil
 		}
-		r, err := ex.evalRowIdx(n.R, row, idx)
+		rv, err := ex.evalRow(n.R, r)
 		if err != nil {
 			return NullValue, err
 		}
-		return boolValue(r.truthy()), nil
+		return boolValue(rv.truthy()), nil
 	}
-	r, err := ex.evalRowIdx(n.R, row, idx)
+	rv, err := ex.evalRow(n.R, r)
 	if err != nil {
 		return NullValue, err
 	}
-	if l.Null || r.Null {
+	if l.Null || rv.Null {
 		return NullValue, nil
 	}
 	switch n.Op {
 	case "=", "!=":
 		var eq bool
-		if l.IsNum && r.IsNum {
-			eq = l.Num == r.Num
+		if l.IsNum && rv.IsNum {
+			eq = l.Num == rv.Num
 		} else {
-			eq = l.String() == r.String()
+			eq = l.String() == rv.String()
 		}
 		if n.Op == "!=" {
 			eq = !eq
@@ -792,15 +907,15 @@ func (ex *executor) evalBinary(n Binary, row []int32, idx int) (Value, error) {
 		return boolValue(eq), nil
 	case "<", ">", "<=", ">=":
 		var cmp int
-		if l.IsNum && r.IsNum {
+		if l.IsNum && rv.IsNum {
 			switch {
-			case l.Num < r.Num:
+			case l.Num < rv.Num:
 				cmp = -1
-			case l.Num > r.Num:
+			case l.Num > rv.Num:
 				cmp = 1
 			}
 		} else {
-			cmp = strings.Compare(l.String(), r.String())
+			cmp = strings.Compare(l.String(), rv.String())
 		}
 		switch n.Op {
 		case "<":
@@ -813,21 +928,21 @@ func (ex *executor) evalBinary(n Binary, row []int32, idx int) (Value, error) {
 			return boolValue(cmp >= 0), nil
 		}
 	case "+", "-", "*", "/":
-		if !l.IsNum || !r.IsNum {
+		if !l.IsNum || !rv.IsNum {
 			return NullValue, fmt.Errorf("sqlexec: arithmetic on non-numbers")
 		}
 		switch n.Op {
 		case "+":
-			return NumValue(l.Num + r.Num), nil
+			return NumValue(l.Num + rv.Num), nil
 		case "-":
-			return NumValue(l.Num - r.Num), nil
+			return NumValue(l.Num - rv.Num), nil
 		case "*":
-			return NumValue(l.Num * r.Num), nil
+			return NumValue(l.Num * rv.Num), nil
 		default:
-			if r.Num == 0 {
+			if rv.Num == 0 {
 				return NullValue, nil
 			}
-			return NumValue(l.Num / r.Num), nil
+			return NumValue(l.Num / rv.Num), nil
 		}
 	}
 	return NullValue, fmt.Errorf("sqlexec: unknown operator %q", n.Op)
@@ -836,7 +951,7 @@ func (ex *executor) evalBinary(n Binary, row []int32, idx int) (Value, error) {
 // evalGroup evaluates a select expression over a group: aggregates fold
 // their argument across the group's rows; bare columns take the first
 // row's value (the group key case).
-func (ex *executor) evalGroup(e Expr, group []int) (Value, error) {
+func (ex *executor) evalGroup(e Expr, group []int32) (Value, error) {
 	switch n := e.(type) {
 	case Agg:
 		return ex.evalAgg(n, group)
@@ -849,19 +964,96 @@ func (ex *executor) evalGroup(e Expr, group []int) (Value, error) {
 		if err != nil {
 			return NullValue, err
 		}
-		return ex.evalBinary(Binary{Op: n.Op, L: litOf(l), R: litOf(r)}, nil, -1)
+		return ex.evalBinary(Binary{Op: n.Op, L: litOf(l), R: litOf(r)}, -1)
 	case Unary:
 		v, err := ex.evalGroup(n.E, group)
 		if err != nil {
 			return NullValue, err
 		}
-		return ex.evalRowIdx(Unary{Op: n.Op, E: litOf(v)}, nil, -1)
+		return ex.evalRow(Unary{Op: n.Op, E: litOf(v)}, -1)
 	default:
 		if len(group) == 0 {
 			return NullValue, nil
 		}
-		return ex.evalRowIdx(e, ex.row(group[0]), group[0])
+		return ex.evalRow(e, group[0])
 	}
+}
+
+// memo caches a row expression's value per distinct row: of[r] is 1 + the
+// index of r's value in vals, 0 until r is first evaluated. vals holds each
+// distinct result once (by bits, so -0 and NaN stay exact), keeping the
+// per-row state pointer-free.
+type memo struct {
+	e    Expr
+	of   []int32
+	vals []Value
+	idx  map[valKey]int32 // built once vals outgrows a linear scan
+}
+
+func (*memo) exprNode() {}
+
+// memoScan is the value-table size up to which intern scans linearly.
+const memoScan = 8
+
+type valKey struct {
+	bits        uint64
+	str         string
+	isNum, null bool
+}
+
+func keyOf(v Value) valKey { return valKey{math.Float64bits(v.Num), v.Str, v.IsNum, v.Null} }
+
+// intern returns v's index in m.vals, appending v if it is new.
+func (m *memo) intern(v Value) int32 {
+	k := keyOf(v)
+	if m.idx == nil {
+		for i, w := range m.vals {
+			if keyOf(w) == k {
+				return int32(i)
+			}
+		}
+		if len(m.vals) < memoScan {
+			m.vals = append(m.vals, v)
+			return int32(len(m.vals) - 1)
+		}
+		m.idx = make(map[valKey]int32, 2*memoScan)
+		for i, w := range m.vals {
+			m.idx[keyOf(w)] = int32(i)
+		}
+	}
+	i, ok := m.idx[k]
+	if !ok {
+		i = int32(len(m.vals))
+		m.vals = append(m.vals, v)
+		m.idx[k] = i
+	}
+	return i
+}
+
+// memoized evaluates m's expression on distinct row r the first time r
+// needs it and reads the cached value after that.
+func (ex *executor) memoized(m *memo, r int32) (Value, error) {
+	if k, ok := m.cached(r); ok {
+		return k, nil
+	}
+	v, err := ex.evalRow(m.e, r)
+	if err != nil || r < 0 {
+		return v, err
+	}
+	if m.of == nil {
+		m.of = make([]int32, ex.nd)
+	}
+	m.of[r] = m.intern(v) + 1
+	return v, nil
+}
+
+// cached returns r's value if it has been evaluated; a nil memo caches
+// nothing.
+func (m *memo) cached(r int32) (Value, bool) {
+	if m != nil && uint(r) < uint(len(m.of)) && m.of[r] > 0 {
+		return m.vals[m.of[r]-1], true
+	}
+	return Value{}, false
 }
 
 // litOf re-wraps a computed value as a literal for operator reuse.
@@ -876,15 +1068,20 @@ func litOf(v Value) Expr {
 }
 
 // evalAgg folds an aggregate over the group in one pass, adding in row
-// order.
-func (ex *executor) evalAgg(n Agg, group []int) (Value, error) {
+// order; a memoized argument is evaluated once per distinct row.
+func (ex *executor) evalAgg(n Agg, group []int32) (Value, error) {
 	if n.Star {
 		return NumValue(float64(len(group))), nil
 	}
 	var sum, m float64
 	count, nums := 0, 0
-	for _, i := range group {
-		v, err := ex.evalRowIdx(n.Arg, ex.row(i), i)
+	arg, _ := n.Arg.(*memo)
+	for _, r := range group {
+		v, ok := arg.cached(r)
+		var err error
+		if !ok {
+			v, err = ex.evalRow(n.Arg, r)
+		}
 		if err != nil {
 			return NullValue, err
 		}

@@ -37,7 +37,9 @@ func FuzzParse(f *testing.F) {
 }
 
 // FuzzExec executes accepted queries against a tiny relation: the executor
-// must never panic regardless of the query shape.
+// must never panic regardless of the query shape, and over the relation's
+// rows repeated it must return what it returns once a row-id column makes
+// every row distinct.
 func FuzzExec(f *testing.F) {
 	seeds := []string{
 		"SELECT grp, AVG(age) FROM t GROUP BY grp",
@@ -50,8 +52,15 @@ func FuzzExec(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	dup := repeated(numbersRel(), 3, 1)
+	unique := withRowID(dup)
 	f.Fuzz(func(t *testing.T, src string) {
 		rel := numbersRel()
 		_, _ = Exec(src, rel, nil) // must not panic
+		a, aErr := Exec(src, dup, nil)
+		b, bErr := Exec(src, unique, nil)
+		if d := sameOutcome(a, aErr, b, bErr); d != "" {
+			t.Fatalf("%q: duplicated vs unique rows: %s", src, d)
+		}
 	})
 }

@@ -96,36 +96,7 @@ func TestCaseAggregateBits(t *testing.T) {
 // `go test ./internal/sqlexec -run Golden -update` only when an output
 // change is intended.
 func TestGuardedQueryGolden(t *testing.T) {
-	rel, err := bn.PostalChain(32).Sample(5000, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := errgen.Inject(rel, errgen.Options{Rate: 0.05, RandomStringProb: 0.5, Seed: 12}); err != nil {
-		t.Fatal(err)
-	}
-	rel.SetName("t")
-	var prog strings.Builder
-	prog.WriteString("GIVEN City ON State HAVING\n")
-	for c := 0; c < 16; c++ {
-		fmt.Fprintf(&prog, "  IF City = \"City_v%d\" THEN State <- \"State_v%d\";\n", c, c/2)
-	}
-	prog.WriteString("GIVEN State ON Country HAVING\n")
-	for s := 0; s < 8; s++ {
-		fmt.Fprintf(&prog, "  IF State = \"State_v%d\" THEN Country <- \"Country_v%d\";\n", s, s%2)
-	}
-	p, err := dsl.Parse(prog.String(), rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	label := rel.AttrIndex("Country")
-	first := make([]int, 700)
-	for i := range first {
-		first[i] = i
-	}
-	model, err := ml.TrainLogistic(rel.SelectRows(first), label, ml.LogisticOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rel, p, model := postalFixture(t)
 	env := &Env{Models: map[string]ml.Model{"Country": model}, Guard: core.NewGuard(p, core.Rectify)}
 
 	var b strings.Builder
@@ -157,6 +128,44 @@ func TestGuardedQueryGolden(t *testing.T) {
 		}
 	}
 	checkGolden(t, "guarded_query.golden", b.String())
+}
+
+// postalFixture is the guarded PREDICT query's setup: a dirty
+// PostalChain table, a program repairing State from City and Country from
+// State, and a logistic model trained on the table's first rows that
+// predicts Country.
+func postalFixture(t *testing.T) (*dataset.Relation, *dsl.Program, ml.Model) {
+	t.Helper()
+	rel, err := bn.PostalChain(32).Sample(5000, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := errgen.Inject(rel, errgen.Options{Rate: 0.05, RandomStringProb: 0.5, Seed: 12}); err != nil {
+		t.Fatal(err)
+	}
+	rel.SetName("t")
+	var prog strings.Builder
+	prog.WriteString("GIVEN City ON State HAVING\n")
+	for c := 0; c < 16; c++ {
+		fmt.Fprintf(&prog, "  IF City = \"City_v%d\" THEN State <- \"State_v%d\";\n", c, c/2)
+	}
+	prog.WriteString("GIVEN State ON Country HAVING\n")
+	for s := 0; s < 8; s++ {
+		fmt.Fprintf(&prog, "  IF State = \"State_v%d\" THEN Country <- \"Country_v%d\";\n", s, s%2)
+	}
+	p, err := dsl.Parse(prog.String(), rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := make([]int, 700)
+	for i := range first {
+		first[i] = i
+	}
+	model, err := ml.TrainLogistic(rel.SelectRows(first), rel.AttrIndex("Country"), ml.LogisticOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rel, p, model
 }
 
 // checkGolden compares got with testdata/name, rewriting it under -update.

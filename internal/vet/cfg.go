@@ -358,9 +358,12 @@ func (b *builder) stmt(s ast.Stmt, follow *Node, c ctx) *Node {
 	}
 }
 
-// switchLike wires a switch or type-switch: header → each clause node →
-// clause body → follow, fallthrough → next clause body, and a follow
-// edge from the header iff no default clause exists.
+// switchLike wires a switch or type-switch the way Go evaluates it: the
+// header enters the first case clause; each case clause's node, which
+// reads its case expressions, goes to its body or to the next case clause
+// in source order; after the last case clause comes the default clause if
+// there is one, else follow. Bodies end at follow, and fallthrough goes to
+// the next clause's body.
 func (b *builder) switchLike(s ast.Stmt, init ast.Stmt, clauses []*ast.CaseClause, allowFall bool, follow *Node, c ctx, label string) *Node {
 	n := b.nodeFor(s)
 	if label != "" {
@@ -381,18 +384,18 @@ func (b *builder) switchLike(s ast.Stmt, init ast.Stmt, clauses []*ast.CaseClaus
 		bodyEntries[i] = b.block(clauses[i].Body, follow, cc)
 		next = bodyEntries[i]
 	}
-	hasDefault := false
+	prev, noMatch := n, follow
 	for i, cl := range clauses {
 		cn := b.nodeFor(cl)
-		addEdge(n, cn)
 		addEdge(cn, bodyEntries[i])
 		if cl.List == nil {
-			hasDefault = true
+			noMatch = cn
+			continue
 		}
+		addEdge(prev, cn)
+		prev = cn
 	}
-	if !hasDefault {
-		addEdge(n, follow)
-	}
+	addEdge(prev, noMatch)
 	if init != nil {
 		in := b.nodeFor(init)
 		addEdge(in, n)
