@@ -769,6 +769,29 @@ func BenchmarkRepair(b *testing.B) {
 	})
 }
 
+// rowsDropped reads how many rows the drift monitor of the server at url
+// dropped, from GET /v1/drift.
+func rowsDropped(b *testing.B, url string) int {
+	resp, err := http.Get(url + "/v1/drift")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Datasets []struct {
+			RowsDropped int `json:"rows_dropped"`
+		} `json:"datasets"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		b.Fatal(err)
+	}
+	n := 0
+	for _, d := range body.Datasets {
+		n += d.RowsDropped
+	}
+	return n
+}
+
 // BenchmarkSMTEncode sizes the monolithic encoding (§8.3) repeatedly.
 func BenchmarkSMTEncode(b *testing.B) {
 	rel, err := bn.RandomSEM(bn.SEMSpec{Attrs: 15, Seed: 6}).Sample(1000, 6)
@@ -784,8 +807,11 @@ func BenchmarkSMTEncode(b *testing.B) {
 // BenchmarkServeBatch prices one 1000-row batch request per iteration on
 // each streaming path of the serve daemon, over a loopback HTTP server so
 // response flushes reach a real socket. The fixture is the postal example
-// (examples/constraints), cycled row by row; the drift monitor is off.
-// ns/row, allocs/row and B/row count client and server together.
+// (examples/constraints), cycled row by row. The plain cases run with the
+// drift monitor off; the "-drift" cases turn it on, so its per-row
+// hand-off is on the request path and its worker observes the rows
+// alongside, and they also report the rows the monitor dropped.
+// ns/row, allocs/row and B/row count client, server and monitor together.
 func BenchmarkServeBatch(b *testing.B) {
 	const rows = 1000
 	schema, err := os.ReadFile("examples/constraints/postal.csv")
@@ -796,13 +822,6 @@ func BenchmarkServeBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	reg := serve.NewRegistry(nil)
-	if _, _, err := reg.Load("postal", schema, prog); err != nil {
-		b.Fatal(err)
-	}
-	ts := httptest.NewServer(serve.New(serve.Config{Registry: reg, FlightSize: -1}).Handler())
-	defer ts.Close()
-
 	lines := strings.Split(strings.TrimSpace(string(schema)), "\n")
 	header, data := strings.Split(lines[0], ","), lines[1:]
 	var csvBody, ndjsonBody bytes.Buffer
@@ -829,30 +848,47 @@ func BenchmarkServeBatch(b *testing.B) {
 		{"ndjson-check", "/v1/check", "application/x-ndjson", ndjsonBody.Bytes()},
 		{"ndjson-rectify", "/v1/rectify", "application/x-ndjson", ndjsonBody.Bytes()},
 	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				resp, err := http.Post(ts.URL+c.path+"?dataset=postal", c.ct, bytes.NewReader(c.body))
-				if err != nil {
+	for _, drift := range []bool{false, true} {
+		for _, c := range cases {
+			name := c.name
+			if drift {
+				name += "-drift"
+			}
+			b.Run(name, func(b *testing.B) {
+				reg := serve.NewRegistry(nil)
+				if _, _, err := reg.Load("postal", schema, prog); err != nil {
 					b.Fatal(err)
 				}
-				_, err = io.Copy(io.Discard, resp.Body)
-				if cerr := resp.Body.Close(); err == nil {
-					err = cerr
+				ts := httptest.NewServer(serve.New(serve.Config{
+					Registry: reg, FlightSize: -1, Drift: serve.DriftConfig{Enabled: drift},
+				}).Handler())
+				defer ts.Close()
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					resp, err := http.Post(ts.URL+c.path+"?dataset=postal", c.ct, bytes.NewReader(c.body))
+					if err != nil {
+						b.Fatal(err)
+					}
+					_, err = io.Copy(io.Discard, resp.Body)
+					if cerr := resp.Body.Close(); err == nil {
+						err = cerr
+					}
+					if err != nil || resp.StatusCode != http.StatusOK {
+						b.Fatalf("status %d: %v", resp.StatusCode, err)
+					}
 				}
-				if err != nil || resp.StatusCode != http.StatusOK {
-					b.Fatalf("status %d: %v", resp.StatusCode, err)
+				b.StopTimer()
+				runtime.ReadMemStats(&m1)
+				n := float64(b.N) * rows
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/row")
+				b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/n, "allocs/row")
+				b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/n, "B/row")
+				if drift {
+					b.ReportMetric(float64(rowsDropped(b, ts.URL))/n, "dropped/row")
 				}
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&m1)
-			n := float64(b.N) * rows
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/row")
-			b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/n, "allocs/row")
-			b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/n, "B/row")
-		})
+			})
+		}
 	}
 }

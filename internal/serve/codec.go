@@ -15,10 +15,6 @@ type rowBuf struct {
 	schema *dataset.Relation
 	enc    *dataset.Encoder
 	codes  []int32
-	// raw is the row as the client sent it, in schema order, for the
-	// drift monitor. Each value is the encoder's own string for it, so a
-	// value seen before costs no allocation.
-	raw []string
 	// viols is the row's decoded violations, reused row to row.
 	viols []apiViolation
 }
@@ -29,15 +25,8 @@ func newRowBuf(schema *dataset.Relation) *rowBuf {
 		schema: schema,
 		enc:    dataset.NewEncoder(schema),
 		codes:  make([]int32, n),
-		raw:    make([]string, n),
 		viols:  []apiViolation{}, // never nil: an empty list encodes as []
 	}
-}
-
-// set stores attribute a's code and the string it decodes to.
-func (b *rowBuf) set(a int, c int32) {
-	b.codes[a] = c
-	b.raw[a] = b.enc.Decode(a, c)
 }
 
 // setFromMap fills the buffer from a JSON object keyed by attribute name.
@@ -54,7 +43,7 @@ func (b *rowBuf) setFromMap(m map[string]string) error {
 		return unknownAttrError(unknown)
 	}
 	for i := range b.codes {
-		b.set(i, b.enc.Encode(i, m[b.schema.Attr(i)]))
+		b.codes[i] = b.enc.Encode(i, m[b.schema.Attr(i)])
 	}
 	return nil
 }
@@ -77,11 +66,11 @@ func (b *rowBuf) setFromScan(obj []byte, sc *flatScanner) error {
 		return unknownAttrError(string(unknown))
 	}
 	for i := range b.codes {
-		b.codes[i], b.raw[i] = dataset.Missing, ""
+		b.codes[i] = dataset.Missing
 	}
 	for _, p := range sc.pairs {
 		a := b.schema.AttrIndex(string(sc.text(obj, p.k)))
-		b.set(a, b.enc.EncodeBytes(a, sc.text(obj, p.v)))
+		b.codes[a] = b.enc.EncodeBytes(a, sc.text(obj, p.v))
 	}
 	return nil
 }
@@ -90,8 +79,7 @@ func (b *rowBuf) setFromScan(obj []byte, sc *flatScanner) error {
 // schema attribute colOf[i].
 func (b *rowBuf) setFromRecord(colOf []int, rec [][]byte) {
 	for i, v := range rec {
-		a := colOf[i]
-		b.set(a, b.enc.EncodeBytes(a, v))
+		b.codes[colOf[i]] = b.enc.EncodeBytes(colOf[i], v)
 	}
 }
 

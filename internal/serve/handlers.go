@@ -142,9 +142,9 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request, rc *reqI
 		return
 	}
 	rc.dataset, rc.fingerprint, rc.engine = e.Name, e.FingerprintHex(), e.Backend()
-	w.Header().Set(fingerprintHeader, e.FingerprintHex())
-	w.Header().Set(engineHeader, e.Backend())
-	rc.Scope.EventStr("serve.program", "fingerprint", e.FingerprintHex())
+	w.Header().Set(fingerprintHeader, rc.fingerprint)
+	w.Header().Set(engineHeader, rc.engine)
+	rc.Scope.EventStr("serve.program", "fingerprint", rc.fingerprint)
 	g := e.Guard(strategy)
 
 	ct := r.Header.Get("Content-Type")
@@ -158,6 +158,9 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request, rc *reqI
 		s.streamCSV(w, r, e, g, rc)
 	default:
 		s.singleJSON(w, r, e, g, rc)
+	}
+	if rc.drift != nil {
+		rc.drift.kick()
 	}
 }
 
@@ -333,7 +336,7 @@ func (s *Server) streamCSV(w http.ResponseWriter, r *http.Request, e *Entry, g *
 // serve.* row counters and the request's row tallies. The verdict's
 // violations live in buf until its next row.
 func (s *Server) checkOne(e *Entry, g *core.Guard, buf *rowBuf, rc *reqInfo, i int) verdict {
-	s.observeDrift(e, buf.raw)
+	s.observeDrift(e, buf, rc)
 	vs, changed, _ := g.Step(buf.codes) // only Raise errors
 	buf.viols = s.decodeViolations(e, vs, buf.enc, buf.viols[:0])
 	v := verdict{Row: i, Flagged: len(vs) > 0, Violations: buf.viols, Changed: changed}

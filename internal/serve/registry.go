@@ -80,11 +80,14 @@ type Entry struct {
 	// Version counts swaps of this name, starting at 1. No-op reloads do
 	// not advance it.
 	Version int
+
+	fpHex string
 }
 
 // FingerprintHex renders the fingerprint as the 16-digit hex string used
-// in response headers and the programs API.
-func (e *Entry) FingerprintHex() string { return fmt.Sprintf("%016x", e.Fingerprint) }
+// in response headers and the programs API. It is formatted once, at
+// Load.
+func (e *Entry) FingerprintHex() string { return e.fpHex }
 
 // newEngine builds an entry's engine. It is a variable so registry tests
 // can force the AST fallback path.
@@ -187,6 +190,7 @@ func (r *Registry) Load(name string, schemaCSV, progSrc []byte) (e *Entry, chang
 		Fingerprint: fp,
 		LoadedAt:    r.clock(),
 		Version:     1,
+		fpHex:       fmt.Sprintf("%016x", fp),
 	}
 	if old != nil {
 		entry.Version = old.Version + 1

@@ -84,6 +84,12 @@ type reqInfo struct {
 	rowCounters        bool
 	rowsOKCounter      *obs.Counter
 	rowsFlaggedCounter *obs.Counter
+
+	// The drift feed the request's rows go to, resolved on its first row
+	// (see Server.observeDrift); nil when the monitor is off or the
+	// request's program version is no longer live.
+	driftResolved bool
+	drift         *driftFeed
 }
 
 // errBodyMax bounds how much of an error response body is kept as the

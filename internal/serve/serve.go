@@ -152,7 +152,7 @@ func New(cfg Config) *Server {
 		},
 	}
 	if cfg.Drift.Enabled {
-		s.drift = newDriftMonitor(cfg.Drift)
+		s.drift = newDriftMonitor(cfg.Drift, cfg.Obs, s.registry.Get)
 	}
 	s.access = newAccessLogger(cfg.AccessLog, s.metrics.logDrops)
 	s.flight = newFlightRecorder(cfg.FlightSize)
@@ -273,12 +273,14 @@ func (s *Server) requestScope(slot int) trace.Scope {
 }
 
 // Run serves on ln until ctx is cancelled, then drains: the listener
-// closes, in-flight requests get up to DrainTimeout to finish, and only
-// then does Run return. A nil return means every admitted request
+// closes, in-flight requests get up to DrainTimeout to finish, the drift
+// monitor's workers finish the rows queued by then, and only then does
+// Run return. A nil return means every admitted request
 // completed — the clean-drain contract the CI serve-e2e job asserts. An
 // exceeded drain deadline force-closes remaining connections and returns
 // an error.
 func (s *Server) Run(ctx context.Context, ln net.Listener) error {
+	defer s.drainDrift()
 	if s.cfg.FlightDump != nil {
 		// Flight-dump-on-SIGQUIT: the classic "what was the daemon just
 		// doing" signal. The watcher lives exactly as long as Run — after

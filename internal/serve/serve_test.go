@@ -44,7 +44,7 @@ GIVEN City ON State HAVING
 
 // newPostalServer builds a Server with the postal program registered and
 // a fresh obs registry, leaving any cfg overrides in place.
-func newPostalServer(t *testing.T, cfg Config) (*Server, *obs.Registry) {
+func newPostalServer(t testing.TB, cfg Config) (*Server, *obs.Registry) {
 	t.Helper()
 	reg := obs.New()
 	if cfg.Obs == nil {

@@ -229,30 +229,51 @@ const flatCap = 1 << 16
 // and returns an empty accumulator for it. x and y must differ, and z
 // must exclude both; every index must be a variable of s.
 func NewStrata(s Shape, x, y int, z []int) (*Strata, error) {
-	nv := s.NumVars()
-	if x == y {
-		return nil, errors.New("stats: G² test with x == y")
-	}
-	if x < 0 || x >= nv || y < 0 || y >= nv {
-		return nil, fmt.Errorf("stats: variable out of range (%d, %d of %d)", x, y, nv)
-	}
-	radix := make([]int64, len(z))
-	for i, zi := range z {
-		if zi == x || zi == y {
-			return nil, fmt.Errorf("stats: conditioning set contains tested variable %d", zi)
-		}
-		if zi < 0 || zi >= nv {
-			return nil, fmt.Errorf("stats: conditioning variable %d out of range", zi)
-		}
-		radix[i] = int64(s.Card(zi) + 1)
-	}
-	st := &Strata{cx: s.Card(x) + 1, cy: s.Card(y) + 1, radix: radix}
-	if size := flatSize(st.cx, st.cy, radix); size > 0 {
-		st.flat = make([]int32, size)
-	} else {
-		st.tabs = map[int64][]int32{}
+	st := &Strata{}
+	if err := st.Reset(s, x, y, z); err != nil {
+		return nil, err
 	}
 	return st, nil
+}
+
+// Reset empties st and lays it out for a test of x against y given z
+// over s's variables, as NewStrata does, reusing st's arrays where they
+// are large enough: one Strata can run a sequence of tests. On error st
+// is left unusable until the next successful Reset.
+func (st *Strata) Reset(s Shape, x, y int, z []int) error {
+	nv := s.NumVars()
+	if x == y {
+		return errors.New("stats: G² test with x == y")
+	}
+	if x < 0 || x >= nv || y < 0 || y >= nv {
+		return fmt.Errorf("stats: variable out of range (%d, %d of %d)", x, y, nv)
+	}
+	if cap(st.radix) < len(z) {
+		st.radix = make([]int64, 0, len(z))
+	}
+	st.radix = st.radix[:0]
+	for _, zi := range z {
+		if zi == x || zi == y {
+			return fmt.Errorf("stats: conditioning set contains tested variable %d", zi)
+		}
+		if zi < 0 || zi >= nv {
+			return fmt.Errorf("stats: conditioning variable %d out of range", zi)
+		}
+		st.radix = append(st.radix, int64(s.Card(zi)+1))
+	}
+	st.cx, st.cy, st.n = s.Card(x)+1, s.Card(y)+1, 0
+	if size := flatSize(st.cx, st.cy, st.radix); size > 0 {
+		if cap(st.flat) >= size {
+			st.flat = st.flat[:size]
+			clear(st.flat)
+		} else {
+			st.flat = make([]int32, size)
+		}
+		st.tabs = nil
+	} else {
+		st.flat, st.tabs = nil, map[int64][]int32{}
+	}
+	return nil
 }
 
 // flatSize returns cx·cy·Π radix, or 0 when the product is past flatCap.
@@ -350,8 +371,8 @@ func (s *Strata) Result() (TestResult, error) {
 // of the counts alone.
 func (s *Strata) g() (g float64, dof, strata int) {
 	cx, cy := s.cx, s.cy
-	rowMarg := make([]float64, cx)
-	colMarg := make([]float64, cy)
+	marg := make([]float64, cx+cy)
+	rowMarg, colMarg := marg[:cx], marg[cx:]
 	visit := func(tab []int32) {
 		for i := range rowMarg {
 			rowMarg[i] = 0

@@ -58,27 +58,53 @@ func (r DriftReport) Dirty(numVars int) []bool {
 // matching the conservative stance the CI tests take on sparse tables.
 // The scan is over fixed-order slices, so the report is a pure function
 // of the two tables.
+//
+// The two sides may declare different cardinalities when one table's
+// dictionary grew. Both marginals are laid out over the larger one, with
+// missing last, so every slot holds the same category on both sides: a
+// category new to the window lines up with the baseline's empty slot for
+// it, never with the baseline's missing mass.
 func DetectDrift(baseline, window *Table, alpha float64) DriftReport {
 	nv := min(baseline.NumVars(), window.NumVars())
 	rep := DriftReport{Vars: make([]VarDrift, 0, nv)}
+	var buf []int64
+	var s stats.Strata
 	for i := 0; i < nv; i++ {
-		rep.Vars = append(rep.Vars, driftOne(i, baseline.Marginal(i), window.Marginal(i), alpha))
+		slots := max(baseline.Card(i), window.Card(i)) + 1
+		if cap(buf) < 2*slots {
+			buf = make([]int64, 2*slots)
+		}
+		b, w := buf[:slots], buf[slots:2*slots]
+		baseline.marginal(i, b)
+		window.marginal(i, w)
+		rep.Vars = append(rep.Vars, driftOne(&s, i, b, w, alpha))
 	}
 	return rep
 }
 
+// slotShape is the shape of driftOne's table: a variable of that many
+// marginal slots against the two sides.
+type slotShape int
+
+func (s slotShape) NumVars() int { return 2 }
+
+func (s slotShape) Card(i int) int {
+	if i == 0 {
+		return int(s)
+	}
+	return 2
+}
+
 // driftOne runs the homogeneity test for one variable as a single-stratum
-// stats.Strata over (marginal slot, side). The two marginals may have
-// different lengths when one table's dictionary grew; slots are compared
-// by position, the shorter marginal zero-padded. Slots index the table's
-// rows and sides its columns: that orientation sums the G² terms slot by
-// slot, baseline before window, and the transposed table would round
+// stats.Strata over (marginal slot, side), reset into s; b and w have
+// the same length and slot layout. Slots index the table's rows and
+// sides its columns: that orientation sums the G² terms slot by slot,
+// baseline before window, and the transposed table would round
 // differently. A count past the int32 tables, like a chi-square tail
 // that fails to converge, never flags.
-func driftOne(i int, b, w []int64, alpha float64) VarDrift {
+func driftOne(s *stats.Strata, i int, b, w []int64, alpha float64) VarDrift {
 	d := VarDrift{Var: i, P: 1}
-	s, err := stats.NewStrata(New([]int{max(len(b), len(w)), 2}), 0, 1, nil)
-	if err != nil {
+	if err := s.Reset(slotShape(len(b)), 0, 1, nil); err != nil {
 		return d
 	}
 	for side, m := range [2][]int64{b, w} {

@@ -1,49 +1,10 @@
 package incr
 
 import (
-	"bytes"
 	"testing"
 
 	"github.com/guardrail-db/guardrail/internal/stats"
 )
-
-// FuzzTableCodec feeds arbitrary bytes to the table decoder: it must
-// reject or accept without panicking, and anything it accepts must
-// re-marshal to a canonical form that round-trips to an equal table.
-func FuzzTableCodec(f *testing.F) {
-	seed := New([]int{2, 3})
-	seed.Add([]int32{0, 2})
-	seed.Add([]int32{1, -1})
-	seed.AddN([]int32{0, 0}, 7)
-	blob, _ := seed.MarshalBinary()
-	f.Add(blob)
-	f.Add([]byte("GRIT1"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var tab Table
-		if err := tab.UnmarshalBinary(data); err != nil {
-			return
-		}
-		out, err := tab.MarshalBinary()
-		if err != nil {
-			t.Fatalf("accepted table failed to marshal: %v", err)
-		}
-		var back Table
-		if err := back.UnmarshalBinary(out); err != nil {
-			t.Fatalf("canonical form rejected: %v", err)
-		}
-		if !back.Equal(&tab) {
-			t.Fatal("round trip changed the table")
-		}
-		out2, err := back.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(out, out2) {
-			t.Fatal("canonical form is not a fixed point")
-		}
-	})
-}
 
 // codeMatrix is a column-major stats.Data built from fuzz bytes.
 type codeMatrix struct {

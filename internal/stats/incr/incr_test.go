@@ -1,7 +1,6 @@
 package incr
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -191,39 +190,6 @@ func TestPCOnTablesMatchesBatch(t *testing.T) {
 	}
 }
 
-func TestCodecRoundTrip(t *testing.T) {
-	d := randData(t, 1500, 25)
-	tab := FromData(d)
-	blob, err := tab.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Deterministic: equal tables marshal to equal bytes.
-	blob2, err := tab.Clone().MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(blob, blob2) {
-		t.Fatal("serialization is not deterministic")
-	}
-	var back Table
-	if err := back.UnmarshalBinary(blob); err != nil {
-		t.Fatal(err)
-	}
-	if !back.Equal(tab) {
-		t.Fatal("round trip lost statistics")
-	}
-	assertTesterIdentity(t, &back, tab)
-
-	// Corrupt inputs are rejected, never panicking.
-	for _, bad := range [][]byte{nil, []byte("x"), []byte("GRIT1"), blob[:len(blob)-1]} {
-		var tb Table
-		if err := tb.UnmarshalBinary(bad); err == nil {
-			t.Fatalf("corrupt blob %q accepted", bad)
-		}
-	}
-}
-
 func TestDetectDrift(t *testing.T) {
 	d := randData(t, 6000, 26)
 	baseline := FromRows(d, 0, 3000)
@@ -290,5 +256,72 @@ func TestRingMisc(t *testing.T) {
 	}
 	if ring.N() != 400 || ring.Window(0).N() != 200 {
 		t.Fatalf("ring bookkeeping off: n=%d", ring.N())
+	}
+}
+
+// TestDriftAlignsGrownCategory pins slot alignment when the window's
+// dictionary grew: a window category the baseline never saw must be
+// compared with the baseline's (empty) slot for that category, not with
+// the baseline's missing mass. Compared by position, the two marginals
+// below are identical and nothing drifts; aligned by category, all of
+// the baseline's missing mass sits where the window has none, and the
+// window's new category where the baseline has none.
+func TestDriftAlignsGrownCategory(t *testing.T) {
+	baseline, window := New([]int{2}), New([]int{3})
+	baseline.AddN([]int32{0}, 100)
+	baseline.AddN([]int32{1}, 100)
+	baseline.AddN([]int32{-1}, 100)
+	window.AddN([]int32{0}, 100)
+	window.AddN([]int32{1}, 100)
+	window.AddN([]int32{2}, 100)
+	v := DetectDrift(baseline, window, 1e-6).Vars[0]
+	if !v.Drifted || v.Dof != 3 {
+		t.Fatalf("new category against baseline missing mass: %+v, want drifted with dof 3", v)
+	}
+	// Either argument order lays the slots out the same way.
+	if r := DetectDrift(window, baseline, 1e-6).Vars[0]; r.Stat != v.Stat || r.Dof != v.Dof {
+		t.Fatalf("swapped sides: %+v, want stat %v dof %d", r, v.Stat, v.Dof)
+	}
+	// With the missing mass on both sides the grown slot alone differs.
+	window.AddN([]int32{-1}, 100)
+	baseline.AddN([]int32{0}, 100)
+	if v := DetectDrift(baseline, window, 1e-6).Vars[0]; !v.Drifted {
+		t.Fatalf("category present only in the window went unflagged: %+v", v)
+	}
+}
+
+// TestTableChurnStaysCompact slides a ring over a stream whose every row
+// is a new assignment, so each expired window leaves only emptied cells
+// behind in the aggregate. The aggregate must stay compact: its arrays
+// hold a bounded multiple of the live cells, and its statistics equal a
+// table built from the live rows alone.
+func TestTableChurnStaysCompact(t *testing.T) {
+	const winRows, winCap = 50, 3
+	ring := NewRing(winCap)
+	var rows [][]int32
+	for w := 0; w < 200; w++ {
+		win := New([]int{1, 1})
+		for r := 0; r < winRows; r++ {
+			row := []int32{int32(w*winRows + r), int32(r % 7)}
+			win.Add(row)
+			rows = append(rows, row)
+		}
+		if _, err := ring.Push(win); err != nil {
+			t.Fatal(err)
+		}
+		agg := ring.Aggregate()
+		if live := agg.Cells(); live != min(w+1, winCap)*winRows {
+			t.Fatalf("window %d: %d live cells", w, live)
+		}
+		if held := len(agg.mass); held > 2*agg.Cells()+64 {
+			t.Fatalf("window %d: %d cells held for %d live", w, held, agg.Cells())
+		}
+	}
+	fresh := New([]int{1, 1})
+	for _, row := range rows[len(rows)-winCap*winRows:] {
+		fresh.Add(row)
+	}
+	if !ring.Aggregate().Equal(fresh) {
+		t.Fatal("compacted aggregate differs from a table of the live rows")
 	}
 }

@@ -15,7 +15,6 @@
 package incr
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -25,21 +24,31 @@ import (
 // Table is a sparse joint contingency table: a multiset of full row
 // assignments with integer multiplicities. The zero value is not usable;
 // construct with New.
+//
+// Cells live in flat, pointer-free arrays: cell c's assignment is
+// codes[c*w:(c+1)*w] (w the variable count) and its mass is mass[c]. An
+// open-addressing index over the cells finds an assignment by value, so
+// adding a row allocates nothing once the arrays have grown to the
+// table's size. A cell that Subtract empties keeps its place with mass 0
+// (a later Add of the same assignment revives it) until empty cells
+// outnumber live ones, when the arrays are compacted.
 type Table struct {
-	// cards holds the declared cardinality of each variable. Cell keys do
-	// not depend on cards, so tables over the same variables but grown
+	// cards holds the declared cardinality of each variable. Cells do not
+	// depend on cards, so tables over the same variables but grown
 	// dictionaries still merge; Merge takes the elementwise max.
 	cards []int
 	n     int64
-	cells map[string]int64 // packed row codes -> count, never <= 0
+	codes []int32
+	mass  []int64
+	// slots indexes the cells by assignment: cell index + 1, 0 when free.
+	// Its length is a power of two at least twice the cell count.
+	slots []int32
+	live  int // cells with mass > 0
 }
 
 // New builds an empty table over variables with the given cardinalities.
 func New(cards []int) *Table {
-	return &Table{
-		cards: append([]int(nil), cards...),
-		cells: map[string]int64{},
-	}
+	return &Table{cards: append([]int(nil), cards...)}
 }
 
 // CardsOf reads the declared cardinalities from any CI tester.
@@ -62,22 +71,35 @@ func FromData(d stats.Data) *Table {
 // cardinalities as of its creation, and merging windows takes the max,
 // so the aggregate over the newest windows matches the live dictionary.
 func FromRows(d stats.Data, lo, hi int) *Table {
+	t := &Table{}
+	t.SetRows(d, lo, hi)
+	return t
+}
+
+// SetRows replaces t's contents with what FromRows(d, lo, hi) would
+// build, reusing t's arrays: a driver that recycles its expired windows
+// builds each new one without allocating.
+func (t *Table) SetRows(d stats.Data, lo, hi int) {
 	nv := d.NumVars()
-	cards := make([]int, nv)
-	cols := make([][]int32, nv)
+	t.cards = t.cards[:0]
 	for i := 0; i < nv; i++ {
-		cards[i] = d.Card(i)
-		cols[i] = d.Codes(i)
+		t.cards = append(t.cards, d.Card(i))
 	}
-	t := New(cards)
-	row := make([]int32, nv)
+	t.n, t.live = 0, 0
+	t.codes, t.mass = t.codes[:0], t.mass[:0]
+	clear(t.slots)
+	var buf [16]int32 // rows of up to 16 variables stay off the heap
+	row := buf[:0]
+	if nv > len(buf) {
+		row = make([]int32, 0, nv)
+	}
+	row = row[:nv]
 	for r := lo; r < hi; r++ {
-		for i := 0; i < nv; i++ {
-			row[i] = cols[i][r]
+		for i := range row {
+			row[i] = d.Codes(i)[r]
 		}
 		t.Add(row)
 	}
-	return t
 }
 
 // NumVars reports the number of variables.
@@ -90,24 +112,100 @@ func (t *Table) N() int { return int(t.n) }
 func (t *Table) Card(i int) int { return t.cards[i] }
 
 // Cells reports the number of distinct row assignments with mass.
-func (t *Table) Cells() int { return len(t.cells) }
+func (t *Table) Cells() int { return t.live }
 
-// keyOf packs a full row assignment into a card-independent cell key:
-// four little-endian bytes per code. A fixed-width binary key (rather
-// than a mixed-radix integer) cannot overflow however many variables or
-// categories the dataset has, and sorts variables-major for the
-// deterministic serialization order.
-func keyOf(row []int32) string {
-	buf := make([]byte, 4*len(row))
-	for i, c := range row {
-		binary.LittleEndian.PutUint32(buf[4*i:], uint32(c))
-	}
-	return string(buf)
+// row returns cell c's assignment.
+func (t *Table) row(c int) []int32 {
+	w := len(t.cards)
+	return t.codes[c*w : c*w+w]
 }
 
-// codeAt unpacks variable i's code from a cell key.
-func codeAt(key string, i int) int32 {
-	return int32(binary.LittleEndian.Uint32([]byte(key[4*i : 4*i+4])))
+// hashRow mixes a row assignment into a slot hash.
+func hashRow(row []int32) uint64 {
+	h := uint64(0x9e3779b97f4a7c15)
+	for _, c := range row {
+		h = (h ^ uint64(uint32(c))) * 0xff51afd7ed558ccd
+		h ^= h >> 29
+	}
+	return h
+}
+
+// find returns the cell holding row, or -1 and the free slot where it
+// would go.
+func (t *Table) find(row []int32) (cell, slot int) {
+	mask := len(t.slots) - 1
+	for i := int(hashRow(row)) & mask; ; i = (i + 1) & mask {
+		s := t.slots[i]
+		if s == 0 {
+			return -1, i
+		}
+		if c := int(s - 1); equalRow(t.row(c), row) {
+			return c, i
+		}
+	}
+}
+
+func equalRow(a, b []int32) bool {
+	for i, c := range a {
+		if b[i] != c {
+			return false
+		}
+	}
+	return true
+}
+
+// massOf reports the mass of row's cell, 0 when it has none.
+func (t *Table) massOf(row []int32) int64 {
+	if len(t.slots) == 0 {
+		return 0
+	}
+	if c, _ := t.find(row); c >= 0 {
+		return t.mass[c]
+	}
+	return 0
+}
+
+// cellOf returns row's cell, appending an empty one when row has none.
+func (t *Table) cellOf(row []int32) int {
+	if 2*(len(t.mass)+1) > len(t.slots) {
+		t.rebuild()
+	}
+	c, slot := t.find(row)
+	if c < 0 {
+		c = len(t.mass)
+		t.codes = append(t.codes, row...)
+		t.mass = append(t.mass, 0)
+		t.slots[slot] = int32(c + 1)
+	}
+	return c
+}
+
+// rebuild drops the cells without mass, keeping the rest in order, and
+// re-indexes them into a slot table sized for twice as many.
+func (t *Table) rebuild() {
+	w, kept := len(t.cards), 0
+	for c, m := range t.mass {
+		if m == 0 {
+			continue
+		}
+		copy(t.codes[kept*w:], t.row(c))
+		t.mass[kept] = m
+		kept++
+	}
+	t.codes, t.mass = t.codes[:kept*w], t.mass[:kept]
+	size := 8
+	for size < 4*(kept+1) {
+		size *= 2
+	}
+	if len(t.slots) == size {
+		clear(t.slots)
+	} else {
+		t.slots = make([]int32, size)
+	}
+	for c := range t.mass {
+		_, slot := t.find(t.row(c))
+		t.slots[slot] = int32(c + 1)
+	}
 }
 
 // Add accumulates one row assignment (codes per variable, -1 for
@@ -128,7 +226,21 @@ func (t *Table) AddN(row []int32, k int64) {
 			t.cards[i] = int(c) + 1
 		}
 	}
-	t.cells[keyOf(row)] += k
+	t.add(row, k)
+}
+
+// add moves k (of either sign) into row's cell; the cell must not go
+// negative.
+func (t *Table) add(row []int32, k int64) {
+	c := t.cellOf(row)
+	was := t.mass[c]
+	t.mass[c] += k
+	switch {
+	case was == 0:
+		t.live++
+	case t.mass[c] == 0:
+		t.live--
+	}
 	t.n += k
 }
 
@@ -143,56 +255,55 @@ func (t *Table) Merge(o *Table) error {
 			t.cards[i] = c
 		}
 	}
-	for k, v := range o.cells {
-		t.cells[k] += v
+	for c, m := range o.mass {
+		if m > 0 {
+			t.add(o.row(c), m)
+		}
 	}
-	t.n += o.n
 	return nil
 }
 
 // Subtract removes every cell of o from t — the inverse of Merge, used
 // to expire a window from a sliding aggregate. It fails (leaving t
-// partially modified only in never-observable ways: the check runs
-// before any mutation) when o has mass t does not, which means o was
-// never merged in. Cardinalities are not shrunk: a dictionary never
-// forgets codes, so neither does the table.
+// unmodified: the check runs before any mutation) when o has mass t does
+// not, which means o was never merged in. Cardinalities are not shrunk:
+// a dictionary never forgets codes, so neither does the table.
 func (t *Table) Subtract(o *Table) error {
 	if len(o.cards) != len(t.cards) {
 		return fmt.Errorf("incr: subtract %d vars from %d", len(o.cards), len(t.cards))
 	}
-	for k, v := range o.cells {
-		if t.cells[k] < v {
+	for c, m := range o.mass {
+		if m > 0 && t.massOf(o.row(c)) < m {
 			return errors.New("incr: subtracting a table that was never merged (cell underflow)")
 		}
 	}
-	for k, v := range o.cells {
-		if rest := t.cells[k] - v; rest == 0 {
-			delete(t.cells, k)
-		} else {
-			t.cells[k] = rest
+	for c, m := range o.mass {
+		if m > 0 {
+			t.add(o.row(c), -m)
 		}
 	}
-	t.n -= o.n
+	if dead := len(t.mass) - t.live; dead > 64 && dead > t.live {
+		t.rebuild()
+	}
 	return nil
 }
 
 // Clone deep-copies the table.
 func (t *Table) Clone() *Table {
-	c := &Table{
+	return &Table{
 		cards: append([]int(nil), t.cards...),
 		n:     t.n,
-		cells: make(map[string]int64, len(t.cells)),
+		codes: append([]int32(nil), t.codes...),
+		mass:  append([]int64(nil), t.mass...),
+		slots: append([]int32(nil), t.slots...),
+		live:  t.live,
 	}
-	for k, v := range t.cells {
-		c.cells[k] = v
-	}
-	return c
 }
 
 // Equal reports whether two tables carry identical statistics: same
 // variable count, cardinalities, and cell masses.
 func (t *Table) Equal(o *Table) bool {
-	if len(t.cards) != len(o.cards) || t.n != o.n || len(t.cells) != len(o.cells) {
+	if len(t.cards) != len(o.cards) || t.n != o.n || t.live != o.live {
 		return false
 	}
 	for i, c := range t.cards {
@@ -200,29 +311,29 @@ func (t *Table) Equal(o *Table) bool {
 			return false
 		}
 	}
-	for k, v := range t.cells {
-		if o.cells[k] != v {
+	for c, m := range t.mass {
+		if m > 0 && o.massOf(t.row(c)) != m {
 			return false
 		}
 	}
 	return true
 }
 
-// Marginal returns variable i's category counts — card+1 slots, the
-// final one holding the missing-value mass, mirroring the extra slot the
-// CI tests reserve. Drift detection compares these between baseline and
-// window.
-func (t *Table) Marginal(i int) []int64 {
-	card := t.cards[i]
-	out := make([]int64, card+1)
-	for k, v := range t.cells {
-		c := int(codeAt(k, i))
-		if c < 0 {
-			c = card
+// marginal fills out with variable i's category counts: one slot per
+// category below len(out)-1 (at least the declared cardinality), and the
+// final slot holding the missing-value mass, mirroring the extra slot the
+// CI tests reserve. Drift detection lays both sides out over the larger
+// of their cardinalities, so each slot holds the same category on both.
+func (t *Table) marginal(i int, out []int64) {
+	clear(out)
+	w, missing := len(t.cards), len(out)-1
+	for c, m := range t.mass {
+		code := int(t.codes[c*w+i])
+		if code < 0 {
+			code = missing
 		}
-		out[c] += v
+		out[code] += m
 	}
-	return out
 }
 
 // Test computes the G² independence test of x and y given z by adding
@@ -234,14 +345,18 @@ func (t *Table) Test(x, y int, z []int) (stats.TestResult, error) {
 	if err != nil {
 		return stats.TestResult{}, err
 	}
-	// Integer accumulation commutes, so ranging over the cell map in
-	// arbitrary order still yields exactly the strata a row scan builds.
-	for cell, cnt := range t.cells {
+	// Integer accumulation commutes, so the cell order does not reach the
+	// strata a row scan builds.
+	for c, m := range t.mass {
+		if m == 0 {
+			continue
+		}
+		row := t.row(c)
 		var key int64
 		for i, zi := range z {
-			key = s.Fold(key, i, codeAt(cell, zi))
+			key = s.Fold(key, i, row[zi])
 		}
-		if err := s.AddN(key, codeAt(cell, x), codeAt(cell, y), cnt); err != nil {
+		if err := s.AddN(key, row[x], row[y], m); err != nil {
 			return stats.TestResult{}, err
 		}
 	}

@@ -88,9 +88,11 @@ type IncrStatus struct {
 // drift monitor wraps one in a mutex).
 type Incremental struct {
 	rel  *dataset.Relation
+	data *auxdist.Raw // rel as stats.Data
 	opts IncrOptions
 
 	ring     *incr.Ring
+	spare    *incr.Table // the last expired window, rebuilt as the next one
 	baseline *incr.Table // statistics behind the current program
 	prev     *pc.Result  // warm-start seed from the last synthesis
 	program  *dsl.Program
@@ -99,6 +101,7 @@ type Incremental struct {
 	start   int // first row (of rel) of the window currently filling
 	dropped int // rows trimmed off rel's front; rel's row r is stream row dropped+r
 	events  []ChangeEvent
+	codes   []int32 // Observe's row of interned codes, reused
 
 	windows, triggers, resyntheses, changes int
 }
@@ -111,6 +114,7 @@ func NewIncremental(rel *dataset.Relation, opts IncrOptions) *Incremental {
 	opts.defaults()
 	return &Incremental{
 		rel:  rel,
+		data: auxdist.Identity(rel),
 		opts: opts,
 		ring: incr.NewRing(opts.MaxWindows),
 	}
@@ -133,6 +137,15 @@ func (inc *Incremental) FingerprintHex() string {
 	return fmt.Sprintf("%016x", inc.fp)
 }
 
+// Cells reports how many distinct rows the live windows' merged
+// statistics hold; it is bounded by the ring's rows.
+func (inc *Incremental) Cells() int {
+	if agg := inc.ring.Aggregate(); agg != nil {
+		return agg.Cells()
+	}
+	return 0
+}
+
 // Events returns every re-synthesis trigger so far.
 func (inc *Incremental) Events() []ChangeEvent { return inc.events }
 
@@ -151,11 +164,39 @@ func (inc *Incremental) Status() IncrStatus {
 	}
 }
 
-// Observe appends one row (string values, "" for missing) and flushes a
-// window when enough rows accumulated. It returns the change events the
-// observation produced — nil on the vast majority of calls.
+// Observe interns one row of string values ("" for missing) into the
+// driver's relation and observes its codes with ObserveCodes.
 func (inc *Incremental) Observe(values []string) ([]ChangeEvent, error) {
-	if err := inc.rel.AppendRow(values); err != nil {
+	if len(values) != inc.rel.NumAttrs() {
+		return nil, fmt.Errorf("synth: observed row has %d values, relation has %d attributes", len(values), inc.rel.NumAttrs())
+	}
+	codes := inc.codes[:0]
+	for i, v := range values {
+		c := dataset.Missing
+		if v != "" {
+			c = inc.rel.Intern(i, v)
+		}
+		codes = append(codes, c)
+	}
+	inc.codes = codes
+	return inc.ObserveCodes(codes)
+}
+
+// ObserveCodes appends one row of codes in the relation's dictionaries
+// (dataset.Missing for missing) and flushes a window when enough rows
+// accumulated. It returns the change events the observation produced —
+// nil on the vast majority of calls. A code the relation's dictionary
+// does not hold is an error, and the row is not observed.
+func (inc *Incremental) ObserveCodes(codes []int32) ([]ChangeEvent, error) {
+	if len(codes) != inc.rel.NumAttrs() {
+		return nil, fmt.Errorf("synth: observed row has %d codes, relation has %d attributes", len(codes), inc.rel.NumAttrs())
+	}
+	for i, c := range codes {
+		if c < dataset.Missing || int(c) >= inc.rel.Cardinality(i) {
+			return nil, fmt.Errorf("synth: code %d of attribute %q is not in its dictionary", c, inc.rel.Attr(i))
+		}
+	}
+	if err := inc.rel.AppendCodes(codes); err != nil {
 		return nil, err
 	}
 	if inc.rel.NumRows()-inc.start < inc.opts.WindowRows {
@@ -183,8 +224,13 @@ func (inc *Incremental) flushWindow() ([]ChangeEvent, error) {
 		Int("lo", int64(inc.dropped+lo)).Int("hi", int64(row))
 	defer sp.End()
 	msp := obsReg.Stage(sp.Scope(), "drift.window_merge")
-	win := incr.FromRows(auxdist.Identity(inc.rel), lo, hi)
-	_, err := inc.ring.Push(win)
+	win := inc.spare
+	if win == nil {
+		win = incr.New(nil)
+	}
+	win.SetRows(inc.data, lo, hi)
+	expired, err := inc.ring.Push(win)
+	inc.spare = expired
 	msp.End()
 	if err != nil {
 		return nil, fmt.Errorf("synth: window merge: %w", err)

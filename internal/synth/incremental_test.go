@@ -202,3 +202,52 @@ func TestIncrementalBoundedRows(t *testing.T) {
 		t.Fatalf("the shifted half triggered no re-synthesis: %+v", st)
 	}
 }
+
+// TestObserveCodesChecksCodes: ObserveCodes takes codes in the driver's
+// own dictionaries. A code the dictionary does not hold, or a row of the
+// wrong width, is an error and leaves the driver unchanged; valid codes
+// observe exactly as Observe of their strings does.
+func TestObserveCodesChecksCodes(t *testing.T) {
+	src, err := bn.PostalChain(6).Sample(20, 33)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byStrings := NewIncremental(streamRelation(t, src), IncrOptions{WindowRows: 1000})
+	byCodes := NewIncremental(streamRelation(t, src), IncrOptions{WindowRows: 1000})
+	for r := 0; r < src.NumRows(); r++ {
+		vals := src.RowStrings(r)
+		if _, err := byStrings.Observe(vals); err != nil {
+			t.Fatal(err)
+		}
+		codes := make([]int32, len(vals))
+		for a, v := range vals {
+			codes[a] = dataset.Missing
+			if v != "" {
+				codes[a] = byCodes.Rel().Intern(a, v)
+			}
+		}
+		if _, err := byCodes.ObserveCodes(codes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad := make([]int32, src.NumAttrs())
+	bad[0] = int32(byCodes.Rel().Cardinality(0))
+	if _, err := byCodes.ObserveCodes(bad); err == nil {
+		t.Fatal("code past the dictionary accepted")
+	}
+	if _, err := byCodes.ObserveCodes(bad[1:]); err == nil {
+		t.Fatal("short row accepted")
+	}
+	if _, err := byStrings.Observe([]string{"x"}); err == nil {
+		t.Fatal("short string row accepted")
+	}
+	if a, b := byStrings.Status(), byCodes.Status(); a.Rows != src.NumRows() || a.Rows != b.Rows {
+		t.Fatalf("rows observed: strings %d, codes %d, want %d", a.Rows, b.Rows, src.NumRows())
+	}
+	for a := 0; a < src.NumAttrs(); a++ {
+		x, y := byStrings.Rel().Column(a), byCodes.Rel().Column(a)
+		if fmt.Sprint(x) != fmt.Sprint(y) {
+			t.Fatalf("attribute %d: codes %v via Observe, %v via ObserveCodes", a, x, y)
+		}
+	}
+}
