@@ -210,6 +210,92 @@ func BenchmarkTableTest(b *testing.B) {
 	}
 }
 
+// BenchmarkIncrWindow prices the sliding-window bookkeeping of
+// incremental synthesis at its defaults (256-row windows, a ring of 8):
+// push is one Ring.Push in steady state (merge the new window, subtract
+// the expired one), merge is one Table.Merge of a window into an
+// aggregate of eight.
+func BenchmarkIncrWindow(b *testing.B) {
+	const windowRows, ringCap = 256, 8
+	rel, err := bn.RandomSEM(bn.SEMSpec{Attrs: 10, Seed: 3}).Sample(2*ringCap*windowRows, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := auxdist.Identity(rel)
+	windows := make([]*incr.Table, 2*ringCap)
+	for i := range windows {
+		windows[i] = incr.FromRows(d, i*windowRows, (i+1)*windowRows)
+	}
+	b.Run("push", func(b *testing.B) {
+		// A window expires ringCap pushes after it went in, so each one is
+		// out of the ring again before its next turn.
+		ring := incr.NewRing(ringCap)
+		for _, w := range windows[:ringCap] {
+			if _, err := ring.Push(w); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := ring.Push(windows[(ringCap+i)%len(windows)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("merge", func(b *testing.B) {
+		agg := incr.New(incr.CardsOf(windows[0]))
+		for _, w := range windows[:ringCap] {
+			if err := agg.Merge(w); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := agg.Merge(windows[i%ringCap]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkPCLearnWarm contrasts a warm re-learn with one dirty variable
+// (pc.LearnWarm from the previous result) against a cold pc.Learn on the
+// same auxiliary sample.
+func BenchmarkPCLearnWarm(b *testing.B) {
+	rel, err := bn.RandomSEM(bn.SEMSpec{Attrs: 10, Seed: 3}).Sample(3000, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	aux, err := auxdist.Sample(rel, auxdist.Options{Shifts: 8, Seed: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("cold", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := pc.Learn(aux, pc.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		t := stats.Tester(aux)
+		prev, err := pc.LearnFrom(t, pc.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		dirty := make([]bool, aux.NumVars())
+		dirty[0] = true
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := pc.LearnWarm(t, prev, dirty, pc.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 func BenchmarkSynthesizeEndToEnd(b *testing.B) {
 	rel, err := bn.PostalChain(16).Sample(3000, 1)
 	if err != nil {

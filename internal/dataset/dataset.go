@@ -270,6 +270,18 @@ func (r *Relation) SelectRows(rows []int) *Relation {
 	return nr
 }
 
+// Filter returns the rows of r for which keep returns true, as a new
+// relation.
+func (r *Relation) Filter(keep func(row int) bool) *Relation {
+	var rows []int
+	for i := 0; i < r.nrows; i++ {
+		if keep(i) {
+			rows = append(rows, i)
+		}
+	}
+	return r.SelectRows(rows)
+}
+
 // Split partitions the relation into train/test by shuffling rows with the
 // given seed; frac is the fraction of rows assigned to train.
 func (r *Relation) Split(frac float64, seed int64) (train, test *Relation) {

@@ -241,3 +241,20 @@ func TestDropFront(t *testing.T) {
 		t.Fatalf("DropFront past the end left %d rows", r.NumRows())
 	}
 }
+
+func TestFilter(t *testing.T) {
+	r := sample()
+	ca := r.Filter(func(i int) bool { return r.Value(i, 2) == "CA" })
+	if ca.NumRows() != 2 {
+		t.Fatalf("filtered rows = %d", ca.NumRows())
+	}
+	for i := 0; i < ca.NumRows(); i++ {
+		if ca.Value(i, 2) != "CA" {
+			t.Fatalf("wrong row kept: %v", ca.RowStrings(i))
+		}
+	}
+	none := r.Filter(func(int) bool { return false })
+	if none.NumRows() != 0 {
+		t.Fatal("empty filter kept rows")
+	}
+}

@@ -1,9 +1,6 @@
 package dsl
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 func TestAnalyze(t *testing.T) {
 	rel := zipRel(t)
@@ -58,18 +55,6 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	if !Equivalent(p, p2, rel) {
 		t.Fatal("JSON round trip changed behaviour")
-	}
-	// Streaming variants.
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, p, rel); err != nil {
-		t.Fatal(err)
-	}
-	p3, err := ReadJSON(&buf, rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Equivalent(p, p3, rel) {
-		t.Fatal("streamed JSON round trip changed behaviour")
 	}
 }
 

@@ -3,7 +3,6 @@ package dsl
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 
 	"github.com/guardrail-db/guardrail/internal/dataset"
 )
@@ -89,23 +88,4 @@ func UnmarshalJSON(data []byte, rel *dataset.Relation) (*Program, error) {
 		return nil, err
 	}
 	return p, nil
-}
-
-// WriteJSON streams the JSON encoding to w.
-func WriteJSON(w io.Writer, p *Program, rel *dataset.Relation) error {
-	data, err := MarshalJSON(p, rel)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
-}
-
-// ReadJSON decodes a program from r against rel.
-func ReadJSON(r io.Reader, rel *dataset.Relation) (*Program, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return UnmarshalJSON(data, rel)
 }

@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"encoding/binary"
-	"errors"
-	"fmt"
 	"math"
 	"math/bits"
 	"runtime"
@@ -20,9 +17,7 @@ import (
 // no sampling and no recency window.
 //
 // The bucket layout is a fixed global constant, not a per-histogram
-// parameter: any two Hist values (or their snapshots, possibly shipped
-// through the binary codec) merge by summing bucket counts, the same
-// mergeable-by-construction discipline as internal/stats/incr tables.
+// parameter, so shards merge by summing bucket counts.
 // Quantile queries return exact bounds: the true q-quantile of everything
 // ever observed provably lies in the returned [lo, hi] interval, and the
 // interval's relative width is at most 1/histSubCount (~3.1%) — values
@@ -256,9 +251,6 @@ type HistBucket struct {
 
 // HistSnapshot is the merged, point-in-time view of a Hist: exact
 // aggregate moments plus the sparse non-empty buckets in ascending order.
-// Snapshots are the mergeable value — Merge sums two of them, and the
-// binary codec ships them between processes — mirroring how
-// stats/incr.Table carries sufficient statistics.
 type HistSnapshot struct {
 	Name    string       `json:"name"`
 	Labels  []Label      `json:"labels,omitempty"`
@@ -352,168 +344,4 @@ func (s HistSnapshot) Quantile(q float64) (lo, hi int64) {
 		}
 	}
 	return s.MinNS, s.MaxNS // unreachable when Σ bucket counts == Count
-}
-
-// Merge folds o into s: bucket counts and moments sum, exactly as if
-// every observation behind o had been recorded into s's histogram.
-// Merging is associative and commutative, so any shard/merge tree yields
-// bit-identical snapshots.
-func (s *HistSnapshot) Merge(o HistSnapshot) {
-	if o.Count == 0 {
-		return
-	}
-	if s.Count == 0 {
-		name, labels := s.Name, s.Labels
-		*s = o
-		s.Name, s.Labels = name, labels
-		s.Buckets = append([]HistBucket(nil), o.Buckets...)
-		return
-	}
-	merged := make([]HistBucket, 0, len(s.Buckets)+len(o.Buckets))
-	i, j := 0, 0
-	for i < len(s.Buckets) || j < len(o.Buckets) {
-		switch {
-		case j >= len(o.Buckets) || (i < len(s.Buckets) && s.Buckets[i].UpperNS < o.Buckets[j].UpperNS):
-			merged = append(merged, s.Buckets[i])
-			i++
-		case i >= len(s.Buckets) || o.Buckets[j].UpperNS < s.Buckets[i].UpperNS:
-			merged = append(merged, o.Buckets[j])
-			j++
-		default:
-			merged = append(merged, HistBucket{UpperNS: s.Buckets[i].UpperNS, Count: s.Buckets[i].Count + o.Buckets[j].Count})
-			i++
-			j++
-		}
-	}
-	s.Buckets = merged
-	s.Count += o.Count
-	s.SumNS += o.SumNS
-	if o.MinNS < s.MinNS {
-		s.MinNS = o.MinNS
-	}
-	if o.MaxNS > s.MaxNS {
-		s.MaxNS = o.MaxNS
-	}
-	s.finalize()
-}
-
-// Binary codec for histogram snapshots — the wire format for shipping
-// latency sufficient statistics between shards or nodes, mirroring the
-// stats/incr table codec. Deterministic: equal snapshots marshal to equal
-// bytes (buckets are already in ascending order by construction).
-//
-//	"GRHX1" | count sum min max uvarint | numBuckets uvarint |
-//	per bucket: index delta uvarint (first absolute, then gap), count uvarint
-//
-// Name and labels are addressing, not statistics, and stay out of the
-// payload — like variable names in the table codec.
-const histCodecMagic = "GRHX1"
-
-// MarshalBinary serializes the snapshot's statistics.
-func (s HistSnapshot) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, len(histCodecMagic)+5*10+len(s.Buckets)*4)
-	buf = append(buf, histCodecMagic...)
-	buf = binary.AppendUvarint(buf, uint64(s.Count))
-	buf = binary.AppendUvarint(buf, uint64(s.SumNS))
-	buf = binary.AppendUvarint(buf, uint64(s.MinNS))
-	buf = binary.AppendUvarint(buf, uint64(s.MaxNS))
-	buf = binary.AppendUvarint(buf, uint64(len(s.Buckets)))
-	prev := -1
-	for _, b := range s.Buckets {
-		idx := histIndex(b.UpperNS)
-		if idx <= prev {
-			return nil, fmt.Errorf("obs: histogram buckets out of order at le_ns=%d", b.UpperNS)
-		}
-		if b.Count <= 0 {
-			return nil, fmt.Errorf("obs: non-positive bucket count %d", b.Count)
-		}
-		if prev < 0 {
-			buf = binary.AppendUvarint(buf, uint64(idx))
-		} else {
-			buf = binary.AppendUvarint(buf, uint64(idx-prev))
-		}
-		buf = binary.AppendUvarint(buf, uint64(b.Count))
-		prev = idx
-	}
-	return buf, nil
-}
-
-// UnmarshalBinary replaces the snapshot's statistics (Name and Labels are
-// preserved). The total count is validated against the bucket sum, and
-// the min (max) must fall inside the first (last) non-empty bucket, so a
-// corrupt payload cannot smuggle in an inconsistent histogram — one whose
-// quantile bounds would come out inverted.
-func (s *HistSnapshot) UnmarshalBinary(data []byte) error {
-	if len(data) < len(histCodecMagic) || string(data[:len(histCodecMagic)]) != histCodecMagic {
-		return errors.New("obs: bad histogram magic")
-	}
-	data = data[len(histCodecMagic):]
-	var hdr [5]int64
-	for i := range hdr {
-		v, n := binary.Uvarint(data)
-		if n <= 0 || v > math.MaxInt64 {
-			return errors.New("obs: bad histogram header")
-		}
-		hdr[i] = int64(v)
-		data = data[n:]
-	}
-	count, sum, min, max, nb := hdr[0], hdr[1], hdr[2], hdr[3], hdr[4]
-	if nb > histNumBuckets {
-		return fmt.Errorf("obs: %d buckets exceeds layout size %d", nb, histNumBuckets)
-	}
-	if count > 0 && min > max {
-		return errors.New("obs: histogram min exceeds max")
-	}
-	buckets := make([]HistBucket, 0, nb)
-	var total int64
-	prev := -1
-	for i := int64(0); i < nb; i++ {
-		d, n := binary.Uvarint(data)
-		if n <= 0 {
-			return errors.New("obs: truncated bucket index")
-		}
-		data = data[n:]
-		idx := int(d)
-		if prev >= 0 {
-			if d == 0 {
-				return errors.New("obs: non-increasing bucket index")
-			}
-			idx = prev + int(d)
-		}
-		if idx >= histNumBuckets {
-			return fmt.Errorf("obs: bucket index %d out of range", idx)
-		}
-		c, n := binary.Uvarint(data)
-		if n <= 0 || c == 0 || c > math.MaxInt64 {
-			return errors.New("obs: bad bucket count")
-		}
-		data = data[n:]
-		buckets = append(buckets, HistBucket{UpperNS: histUpper(idx), Count: int64(c)})
-		total += int64(c)
-		if total < 0 {
-			return errors.New("obs: bucket count overflow")
-		}
-		prev = idx
-	}
-	if len(data) != 0 {
-		return errors.New("obs: trailing bytes")
-	}
-	if total != count {
-		return fmt.Errorf("obs: bucket sum %d != count %d", total, count)
-	}
-	if count > 0 {
-		first, last := histIndex(buckets[0].UpperNS), histIndex(buckets[len(buckets)-1].UpperNS)
-		if histIndex(min) != first || histIndex(max) != last {
-			return fmt.Errorf("obs: min %d / max %d outside the first/last non-empty bucket", min, max)
-		}
-	}
-	s.Count, s.SumNS = count, sum
-	if count > 0 {
-		s.MinNS, s.MaxNS = min, max
-	} else {
-		s.MinNS, s.MaxNS = 0, 0
-	}
-	s.Buckets = buckets
-	s.finalize()
-	return nil
 }

@@ -75,9 +75,8 @@ func histTestValues(rng *rand.Rand, n int) []int64 {
 }
 
 // TestHistShardedMatchesSingleStream is the core mergeable property:
-// observations spread across shards (and across separate histograms whose
-// snapshots are merged in any order) produce a snapshot bit-identical to
-// a single-stream oracle that saw every value on one shard.
+// observations spread across shards produce a snapshot bit-identical to a
+// single-stream oracle that saw every value on one shard.
 func TestHistShardedMatchesSingleStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	vals := histTestValues(rng, 5000)
@@ -94,45 +93,6 @@ func TestHistShardedMatchesSingleStream(t *testing.T) {
 	}
 	if got := sharded.Snapshot("lat"); !reflect.DeepEqual(got, want) {
 		t.Fatalf("sharded snapshot differs from single-stream oracle:\ngot  %+v\nwant %+v", got, want)
-	}
-
-	// Split into uneven chunks, snapshot each independently, then merge
-	// left-to-right, right-to-left, and pairwise — associativity and
-	// commutativity mean every order is bit-identical.
-	bounds := []int{0, 17, 1200, 1201, 3500, 5000}
-	snaps := make([]HistSnapshot, 0, len(bounds)-1)
-	for i := 1; i < len(bounds); i++ {
-		h := NewHist(4)
-		for j, v := range vals[bounds[i-1]:bounds[i]] {
-			h.ObserveShard(j, v)
-		}
-		snaps = append(snaps, h.Snapshot("lat"))
-	}
-
-	ltr := HistSnapshot{Name: "lat"}
-	for _, s := range snaps {
-		ltr.Merge(s)
-	}
-	if !reflect.DeepEqual(ltr, want) {
-		t.Fatalf("left-to-right merge differs from oracle:\ngot  %+v\nwant %+v", ltr, want)
-	}
-
-	rtl := HistSnapshot{Name: "lat"}
-	for i := len(snaps) - 1; i >= 0; i-- {
-		rtl.Merge(snaps[i])
-	}
-	if !reflect.DeepEqual(rtl, want) {
-		t.Fatalf("right-to-left merge differs from oracle:\ngot  %+v\nwant %+v", rtl, want)
-	}
-
-	// Tree shape: ((s0+s1) + (s2+s3)) + s4.
-	left, right := snaps[0], snaps[2]
-	left.Merge(snaps[1])
-	right.Merge(snaps[3])
-	left.Merge(right)
-	left.Merge(snaps[4])
-	if !reflect.DeepEqual(left, want) {
-		t.Fatalf("tree merge differs from oracle:\ngot  %+v\nwant %+v", left, want)
 	}
 }
 
@@ -198,152 +158,6 @@ func TestHistExactBelowSubCount(t *testing.T) {
 	if lo != hi || lo != 31 {
 		t.Fatalf("p50 of 0..63 = [%d,%d], want exactly [31,31]", lo, hi)
 	}
-}
-
-func TestHistCodecRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	h := NewHist(4)
-	for i, v := range histTestValues(rng, 2000) {
-		h.ObserveShard(i, v)
-	}
-	snap := h.Snapshot("wire")
-	snap.Labels = []Label{{Key: "endpoint", Value: "check"}}
-
-	data, err := snap.MarshalBinary()
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	data2, err := snap.MarshalBinary()
-	if err != nil {
-		t.Fatalf("second marshal: %v", err)
-	}
-	if string(data) != string(data2) {
-		t.Fatal("marshal is not deterministic")
-	}
-
-	got := HistSnapshot{Name: "wire", Labels: snap.Labels}
-	if err := got.UnmarshalBinary(data); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if !reflect.DeepEqual(got, snap) {
-		t.Fatalf("round trip mismatch:\ngot  %+v\nwant %+v", got, snap)
-	}
-
-	// Empty snapshot round-trips too.
-	var empty, emptyOut HistSnapshot
-	data, err = empty.MarshalBinary()
-	if err != nil {
-		t.Fatalf("marshal empty: %v", err)
-	}
-	if err := emptyOut.UnmarshalBinary(data); err != nil {
-		t.Fatalf("unmarshal empty: %v", err)
-	}
-	if emptyOut.Count != 0 || len(emptyOut.Buckets) != 0 {
-		t.Fatalf("empty round trip = %+v", emptyOut)
-	}
-}
-
-func TestHistCodecRejectsCorruption(t *testing.T) {
-	h := NewHist(1)
-	for _, v := range []int64{5, 500, 50000, histMaxNS + 1} {
-		h.Observe(v)
-	}
-	snap := h.Snapshot("c")
-	good, err := snap.MarshalBinary()
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-
-	// min = max = 100 ns, but the only bucket is index 5 (exactly 5 ns):
-	// the bucket sum matches the count, yet Quantile would return lo > hi.
-	outside, err := HistSnapshot{
-		Count: 1, SumNS: 100, MinNS: 100, MaxNS: 100,
-		Buckets: []HistBucket{{UpperNS: histUpper(5), Count: 1}},
-	}.MarshalBinary()
-	if err != nil {
-		t.Fatalf("marshal min/max-outside payload: %v", err)
-	}
-
-	cases := map[string][]byte{
-		"empty":                   {},
-		"bad magic":               append([]byte("NOPE1"), good[5:]...),
-		"truncated":               good[:len(good)-1],
-		"trailing bytes":          append(append([]byte(nil), good...), 0x00),
-		"min/max outside buckets": outside,
-	}
-	for name, data := range cases {
-		var out HistSnapshot
-		if err := out.UnmarshalBinary(data); err == nil {
-			t.Errorf("%s: unmarshal accepted corrupt payload", name)
-		}
-	}
-
-	// A payload whose bucket counts do not sum to the header count must be
-	// rejected — the total is recomputed, never trusted.
-	forged := HistSnapshot{
-		Count: 99, SumNS: snap.SumNS, MinNS: snap.MinNS, MaxNS: snap.MaxNS,
-		Buckets: append([]HistBucket(nil), snap.Buckets...),
-	}
-	data, err := forged.MarshalBinary()
-	if err != nil {
-		t.Fatalf("marshal forged: %v", err)
-	}
-	var out HistSnapshot
-	if err := out.UnmarshalBinary(data); err == nil {
-		t.Error("unmarshal accepted bucket-sum/count mismatch")
-	}
-
-	// Out-of-order buckets must be rejected at marshal time.
-	swapped := snap
-	swapped.Buckets = append([]HistBucket(nil), snap.Buckets...)
-	swapped.Buckets[0], swapped.Buckets[1] = swapped.Buckets[1], swapped.Buckets[0]
-	if _, err := swapped.MarshalBinary(); err == nil {
-		t.Error("marshal accepted out-of-order buckets")
-	}
-}
-
-func FuzzHistCodec(f *testing.F) {
-	h := NewHist(2)
-	for _, v := range []int64{1, 33, 4096, histMaxNS + 5} {
-		h.Observe(v)
-	}
-	seed, err := h.Snapshot("f").MarshalBinary()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed)
-	f.Add([]byte(histCodecMagic))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var s HistSnapshot
-		if err := s.UnmarshalBinary(data); err != nil {
-			return
-		}
-		// Accepted payloads must be internally consistent and re-encode
-		// to an equivalent snapshot.
-		var total int64
-		for _, b := range s.Buckets {
-			total += b.Count
-		}
-		if total != s.Count {
-			t.Fatalf("accepted inconsistent snapshot: bucket sum %d != count %d", total, s.Count)
-		}
-		for _, q := range []float64{0.5, 0.99, 0.999} {
-			if lo, hi := s.Quantile(q); lo > hi {
-				t.Fatalf("accepted snapshot with inverted q=%g bounds [%d,%d]: %+v", q, lo, hi, s)
-			}
-		}
-		re, err := s.MarshalBinary()
-		if err != nil {
-			t.Fatalf("re-marshal of accepted payload failed: %v", err)
-		}
-		var s2 HistSnapshot
-		if err := s2.UnmarshalBinary(re); err != nil {
-			t.Fatalf("re-unmarshal failed: %v", err)
-		}
-		if !reflect.DeepEqual(s, s2) {
-			t.Fatalf("codec not idempotent:\n%+v\n%+v", s, s2)
-		}
-	})
 }
 
 func TestHistNilSafe(t *testing.T) {

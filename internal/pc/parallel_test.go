@@ -47,36 +47,6 @@ func TestLearnParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestLearnStableParallelMatchesSerial repeats the check for the
-// bootstrap-aggregated learner, whose resamples are drawn serially before
-// the rounds fan out.
-func TestLearnStableParallelMatchesSerial(t *testing.T) {
-	rel, err := bn.RandomSEM(bn.SEMSpec{Attrs: 8, Seed: 9}).Sample(800, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aux, err := auxdist.Sample(rel, auxdist.Options{Shifts: 6, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := StableOptions{Rounds: 6, Seed: 5}
-	opts.Workers = 1
-	serial, err := LearnStable(aux, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{4, 8} {
-		opts.Workers = workers
-		got, err := LearnStable(aux, opts)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got.CPDAG.String() != serial.CPDAG.String() {
-			t.Errorf("workers=%d stable CPDAG differs:\nserial:\n%s\nparallel:\n%s", workers, serial.CPDAG, got.CPDAG)
-		}
-	}
-}
-
 // fmtSepSets renders a sepset map in sorted key order for comparison.
 func fmtSepSets(sep map[int64][]int) string {
 	keys := make([]int64, 0, len(sep))

@@ -518,14 +518,17 @@ func TestRequestErrors(t *testing.T) {
 	cases := []struct {
 		name, url, ct, body string
 		status              int
+		msg                 string // the error text, when pinned
 	}{
-		{"unknown dataset", "/v1/check?dataset=nope", "application/json", `{"City":"x"}`, http.StatusNotFound},
-		{"unknown attribute", "/v1/check?dataset=postal", "application/json", `{"Zip":"94704"}`, http.StatusBadRequest},
-		{"malformed JSON", "/v1/check?dataset=postal", "application/json", `{"City":`, http.StatusBadRequest},
+		{"unknown dataset", "/v1/check?dataset=nope", "application/json", `{"City":"x"}`, http.StatusNotFound, ""},
+		{"unknown attribute", "/v1/check?dataset=postal", "application/json", `{"Zip":"94704"}`, http.StatusBadRequest, ""},
+		{"malformed JSON", "/v1/check?dataset=postal", "application/json", `{"City":`, http.StatusBadRequest, ""},
 		{"oversized body", "/v1/check?dataset=postal", "application/json",
-			`{"City":"` + strings.Repeat("x", 512) + `"}`, http.StatusRequestEntityTooLarge},
-		{"bad CSV header", "/v1/check?dataset=postal", "text/csv", "PostalCode,City,Elevation\n1,2,3\n", http.StatusBadRequest},
-		{"short CSV header", "/v1/check?dataset=postal", "text/csv", "PostalCode,City\n1,2\n", http.StatusBadRequest},
+			`{"City":"` + strings.Repeat("x", 512) + `"}`, http.StatusRequestEntityTooLarge, ""},
+		{"empty body", "/v1/check?dataset=postal", "application/json", "", http.StatusBadRequest, "decoding row: EOF"},
+		{"whitespace-only body", "/v1/check?dataset=postal", "application/json", " \t\r\n ", http.StatusBadRequest, "decoding row: EOF"},
+		{"bad CSV header", "/v1/check?dataset=postal", "text/csv", "PostalCode,City,Elevation\n1,2,3\n", http.StatusBadRequest, ""},
+		{"short CSV header", "/v1/check?dataset=postal", "text/csv", "PostalCode,City\n1,2\n", http.StatusBadRequest, ""},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+tc.url, tc.ct, strings.NewReader(tc.body))
@@ -547,6 +550,8 @@ func TestRequestErrors(t *testing.T) {
 		}
 		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 			t.Errorf("%s: error body not a JSON error object: %v\n%s", tc.name, err, body)
+		} else if tc.msg != "" && e.Error != tc.msg {
+			t.Errorf("%s: error %q, want %q", tc.name, e.Error, tc.msg)
 		}
 	}
 	if n := reg.Snapshot().Counters["serve.errors"]; n != int64(len(cases)) {

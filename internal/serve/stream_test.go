@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -442,16 +443,141 @@ func referenceNDJSON(body []byte, schema *dataset.Relation) (int, string) {
 		} else if err != nil {
 			return n, "decoding row: " + err.Error()
 		}
-		var unknown []string
-		for k := range m {
-			if schema.AttrIndex(k) < 0 {
-				unknown = append(unknown, k)
-			}
-		}
-		if len(unknown) > 0 {
-			return n, fmt.Sprintf("unknown attribute %q", slices.Min(unknown))
+		if msg := referenceUnknown(m, schema); msg != "" {
+			return n, msg
 		}
 	}
+}
+
+// referenceUnknown is the error text for a decoded row's unknown keys,
+// naming the least; "" when every key is an attribute.
+func referenceUnknown(m map[string]string, schema *dataset.Relation) string {
+	var unknown []string
+	for k := range m {
+		if schema.AttrIndex(k) < 0 {
+			unknown = append(unknown, k)
+		}
+	}
+	if len(unknown) == 0 {
+		return ""
+	}
+	return fmt.Sprintf("unknown attribute %q", slices.Min(unknown))
+}
+
+// singleMaxBody is FuzzServeSingle's MaxBody, small enough that the
+// fuzzer reaches the limit often.
+const singleMaxBody = 64
+
+// FuzzServeSingle posts arbitrary application/json bodies to /v1/check
+// and /v1/rectify on a server with a small MaxBody, and compares each
+// response with referenceSingle: a json.Decoder that sees at most MaxBody
+// bytes, then the program's AST run on the decoded row.
+func FuzzServeSingle(f *testing.F) {
+	for _, seed := range []string{
+		`{"PostalCode":"94704","City":"Oakland","State":"CA"}`,
+		`{"PostalCode":"94704","City":"Berkeley","State":"CA"}`,
+		`{"PostalCode":"94110"}`,
+		`{"Zip":"1","Bogus":"2","City":"x"}`,
+		`{"City":"New York","State":null} trailing`,
+		`{"City":`,
+		`{"City":1}`,
+		`[]`,
+		"",
+		" \t\r\n",
+		`{"City":"` + strings.Repeat("x", singleMaxBody) + `"}`,
+		`{"PostalCode":"10001"}` + strings.Repeat(" ", singleMaxBody),
+		`123456789012345678901234567890123456789012345678901234567890123456789`,
+	} {
+		f.Add([]byte(seed))
+	}
+	reg := NewRegistry(nil)
+	if _, _, err := reg.Load("postal", []byte(postalCSV), []byte(postalProg)); err != nil {
+		f.Fatal(err)
+	}
+	h := New(Config{Registry: reg, FlightSize: -1, MaxBody: singleMaxBody}).Handler()
+	e := mustGet(f, reg, "postal")
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, path := range []string{"/v1/check", "/v1/rectify"} {
+			req := httptest.NewRequest("POST", path+"?dataset=postal", bytes.NewReader(body))
+			req.Header.Set("Content-Type", "application/json")
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			status, errText, want := referenceSingle(body, e, path == "/v1/rectify")
+			if rec.Code != status {
+				t.Fatalf("%s: status %d, want %d\n%s", path, rec.Code, status, rec.Body)
+			}
+			if errText != "" {
+				var got struct {
+					Error string `json:"error"`
+				}
+				if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil || got.Error != errText {
+					t.Fatalf("%s: error body %s, want error %q", path, rec.Body, errText)
+				}
+				continue
+			}
+			var got singleResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+				t.Fatalf("%s: response does not parse: %v\n%s", path, err, rec.Body)
+			}
+			got.Dataset, got.Fingerprint, got.Engine = "", "", ""
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: response %+v, want %+v", path, got, want)
+			}
+		}
+	})
+}
+
+// errBodyTooLarge stands for the read error past the body limit.
+var errBodyTooLarge = errors.New("body too large")
+
+// referenceSingle is the single-row JSON contract: 413 when the decoder
+// needs a byte past MaxBody, 400 "decoding row: <err>" when the first value
+// does not decode into an object of strings, 400 naming the least unknown
+// key, and otherwise 200 with the AST program's verdict on the row (and,
+// for rectify, the repaired row and the count of changed cells).
+func referenceSingle(body []byte, e *Entry, rectify bool) (int, string, singleResponse) {
+	var r io.Reader = bytes.NewReader(body)
+	if len(body) > singleMaxBody {
+		r = io.MultiReader(bytes.NewReader(body[:singleMaxBody]), iotest.ErrReader(errBodyTooLarge))
+	}
+	var m map[string]string
+	if err := json.NewDecoder(r).Decode(&m); errors.Is(err, errBodyTooLarge) {
+		return http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", singleMaxBody), singleResponse{}
+	} else if err != nil {
+		return http.StatusBadRequest, "decoding row: " + err.Error(), singleResponse{}
+	}
+	if msg := referenceUnknown(m, e.Schema); msg != "" {
+		return http.StatusBadRequest, msg, singleResponse{}
+	}
+	enc := dataset.NewEncoder(e.Schema)
+	row := make([]int32, e.Schema.NumAttrs())
+	for a := range row {
+		row[a] = enc.Encode(a, m[e.Schema.Attr(a)])
+	}
+	p := e.Program()
+	resp := singleResponse{Violations: []apiViolation{}}
+	for _, v := range p.Detect(row) {
+		resp.Flagged = true
+		resp.Violations = append(resp.Violations, apiViolation{
+			Stmt:     v.Stmt,
+			Attr:     e.Schema.Attr(v.Attr),
+			Expected: e.Schema.Dict(v.Attr).Value(v.Expected),
+			Actual:   enc.Decode(v.Attr, v.Actual),
+		})
+	}
+	if !rectify {
+		return http.StatusOK, "", resp
+	}
+	fixed := slices.Clone(row)
+	p.Rectify(fixed)
+	resp.Row = map[string]string{}
+	for a, c := range fixed {
+		if c != row[a] {
+			resp.Changed++
+		}
+		resp.Row[e.Schema.Attr(a)] = enc.Decode(a, c)
+	}
+	return http.StatusOK, "", resp
 }
 
 // referenceCSV counts body's CSV rows before the first malformed one,

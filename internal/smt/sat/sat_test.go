@@ -14,6 +14,10 @@ func cond(pairs ...int32) dsl.Condition {
 	return c
 }
 
+// The conjunction tests below run on the domain-free solver, the one the
+// program verifier uses: with every attribute unbounded, satisfiability and
+// implication reduce to atom-set algebra.
+
 func TestSatisfiable(t *testing.T) {
 	cases := []struct {
 		name string
@@ -26,9 +30,10 @@ func TestSatisfiable(t *testing.T) {
 		{"conflicting atoms", cond(0, 1, 0, 2), false},
 		{"conflict after others", cond(1, 5, 2, 7, 1, 6), false},
 	}
+	s := NewSolver(nil)
 	for _, tc := range cases {
-		if got := Satisfiable(tc.c); got != tc.want {
-			t.Errorf("%s: Satisfiable = %v, want %v", tc.name, got, tc.want)
+		if got := s.SatisfiableCond(tc.c); got != tc.want {
+			t.Errorf("%s: SatisfiableCond = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }
@@ -48,18 +53,20 @@ func TestImplies(t *testing.T) {
 		{"unsat a implies anything", cond(0, 1, 0, 2), cond(3, 3), true},
 		{"nothing sat implies unsat b", cond(0, 1), cond(2, 1, 2, 2), false},
 	}
+	s := NewSolver(nil)
 	for _, tc := range cases {
-		if got := Implies(tc.a, tc.b); got != tc.want {
-			t.Errorf("%s: Implies = %v, want %v", tc.name, got, tc.want)
+		if got := s.ImpliesCond(tc.a, tc.b); got != tc.want {
+			t.Errorf("%s: ImpliesCond = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }
 
 func TestEquivalent(t *testing.T) {
-	if !Equivalent(cond(0, 1, 1, 2), cond(1, 2, 0, 1, 0, 1)) {
+	s := NewSolver(nil)
+	if !s.EquivalentCond(cond(0, 1, 1, 2), cond(1, 2, 0, 1, 0, 1)) {
 		t.Error("permuted + duplicated atoms should be equivalent")
 	}
-	if Equivalent(cond(0, 1), cond(0, 1, 1, 2)) {
+	if s.EquivalentCond(cond(0, 1), cond(0, 1, 1, 2)) {
 		t.Error("strict subset is not equivalent")
 	}
 }
@@ -76,9 +83,10 @@ func TestOverlap(t *testing.T) {
 		{"unsat side", cond(0, 1, 0, 2), cond(1, 1), false},
 		{"both empty", nil, nil, true},
 	}
+	s := NewSolver(nil)
 	for _, tc := range cases {
-		if got := Overlap(tc.a, tc.b); got != tc.want {
-			t.Errorf("%s: Overlap = %v, want %v", tc.name, got, tc.want)
+		if got := s.OverlapCond(tc.a, tc.b); got != tc.want {
+			t.Errorf("%s: OverlapCond = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }

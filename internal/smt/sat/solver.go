@@ -1,18 +1,22 @@
-// Finite-domain equality solver over disjunctions of conjunctions.
+// Package sat is the satisfiability core behind program analysis,
+// compilation and synthesis: an exact finite-domain equality solver over
+// disjunctions of conjunctions.
 //
-// The conjunction-only helpers in sat.go decide satisfiability and
-// implication by atom-set algebra, which is exact but blind to two things
-// the program analyzer needs: per-attribute domain cardinalities ("the
-// guard a=x fails for every row because x is not in a's dictionary";
-// "branches a=x and a=y are exhaustive because dom(a)={x,y}") and
-// disjunction (the branch guards of a statement form a DNF, and shadowing
-// is implication into the *union* of earlier guards, not into any single
-// one). The Solver closes both gaps with a small DPLL-style search: unit
-// propagation over equality atoms plus finite-domain pruning, branching on
-// the mentioned-values-or-fresh partition of one attribute at a time. The
-// procedure is exact — internal/smt/sat's differential oracle tests check
-// it against brute-force row enumeration on every small-domain instance.
-
+// Guardrail conditions are conjunctions of equality atoms over categorical
+// attributes. With every attribute unbounded (nil Domains) a conjunction is
+// satisfiable iff no attribute is bound to two different literals, and
+// implication between conjunctions is atom-set containment. The program
+// analyzer needs two things that atom-set algebra cannot see: per-attribute
+// domain cardinalities ("the guard a=x fails for every row because x is not
+// in a's dictionary"; "branches a=x and a=y are exhaustive because
+// dom(a)={x,y}") and disjunction (the branch guards of a statement form a
+// DNF, and shadowing is implication into the *union* of earlier guards, not
+// into any single one). The Solver closes both gaps with a small DPLL-style
+// search: unit propagation over equality atoms plus finite-domain pruning,
+// branching on the mentioned-values-or-fresh partition of one attribute at
+// a time. The procedure is exact — the package's differential oracle tests
+// check it against brute-force row enumeration on every small-domain
+// instance.
 package sat
 
 import (

@@ -11,8 +11,8 @@ import (
 // Catalog holds named relations, including materialized views. The paper's
 // prototype "does not natively support the JOIN operation; one can use
 // materialized views to pre-compute the results and use our query executor
-// over multiple tables" (§7) — MaterializeJoin and MaterializeView provide
-// exactly that workflow.
+// over multiple tables" (§7) — MaterializeJoin provides exactly that
+// workflow.
 type Catalog struct {
 	tables map[string]*dataset.Relation
 }
@@ -54,32 +54,6 @@ func (c *Catalog) Exec(query string, env *Env) (*Result, error) {
 		return nil, fmt.Errorf("sqlexec: no table %q in catalog (have %v)", q.From, c.Names())
 	}
 	return Run(q, rel, env)
-}
-
-// MaterializeView executes query and registers its result table under
-// name. Every result cell is stored as its string rendering, so views
-// compose with further queries (numbers re-parse transparently).
-func (c *Catalog) MaterializeView(name, query string, env *Env) (*dataset.Relation, error) {
-	res, err := c.Exec(query, env)
-	if err != nil {
-		return nil, err
-	}
-	rel := dataset.New(name, res.Cols)
-	row := make([]string, len(res.Cols))
-	for _, r := range res.Rows {
-		for i, v := range r {
-			if v.Null {
-				row[i] = ""
-			} else {
-				row[i] = v.String()
-			}
-		}
-		if err := rel.AppendRow(row); err != nil {
-			return nil, err
-		}
-	}
-	c.Register(name, rel)
-	return rel, nil
 }
 
 // MaterializeJoin pre-computes an inner equi-join of two registered tables

@@ -166,23 +166,6 @@ func TestMaterializeJoinColumnCollision(t *testing.T) {
 	}
 }
 
-func TestMaterializeView(t *testing.T) {
-	c := patientsAndWards()
-	if _, err := c.MaterializeView("old", "SELECT ward, COUNT(*) AS n FROM patients GROUP BY ward", nil); err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Exec("SELECT COUNT(*) FROM old WHERE n >= 2", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !near(res.Rows[0][0].Num, 1) {
-		t.Fatalf("view query = %v", res.Rows[0][0])
-	}
-	if _, err := c.MaterializeView("bad", "SELECT nope FROM patients", nil); err == nil {
-		t.Fatal("bad view accepted")
-	}
-}
-
 func TestPlainSelectProjectsPerRow(t *testing.T) {
 	rel := numbersRel()
 	res, err := Exec("SELECT age FROM t", rel, nil)
